@@ -94,10 +94,16 @@ def decode(tensor, threshold: float = 0.5) -> list:
     """Decode an ACCDOA tensor into events where the vector norm > threshold.
 
     The comparison is strict, so a threshold of 1.0 silences even exact unit
-    vectors. Returned events are sorted by (frame, class).
+    vectors. Thresholds below 1e-9 are rejected: shorter vectors have no
+    direction to decode. Returned events are sorted by (frame, class).
     """
     if threshold <= 0.0:
         raise SeldkitError(f"threshold must be positive, got {threshold}")
+    if threshold < _EPS_NORM:
+        raise SeldkitError(
+            f"threshold {threshold} is below {_EPS_NORM:g}, the shortest "
+            "vector that still carries a direction"
+        )
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ShapeMismatch(f"expected (3, n_classes, n_frames), got {arr.shape}")

@@ -27,7 +27,7 @@ from .errors import (
     ShiftOutOfRange,
 )
 from .accdoa import FEATURE_FRAMES_PER_LABEL_FRAME as FRAMES_PER_LABEL
-from .dataset_io import MultichannelClip, normalize_azimuth
+from .dataset_io import MultichannelClip, _open_text_input, normalize_azimuth
 
 MODES = ("fs_mm", "tm_mm", "all", "custom")
 
@@ -305,7 +305,7 @@ DEFAULT_SEED = 17
 def parse_config_file(path) -> dict:
     """Read a flat key=value config file; # starts a comment line."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -17,6 +17,7 @@ import numpy as np
 from . import accdoa, augment, features, metrics, se_block
 from .dataset_io import (
     N_CLASSES,
+    _atomic_write_bytes,
     read_feature_file,
     read_foa_wav,
     read_label_csv,
@@ -227,14 +228,14 @@ def cmd_score(args) -> int:
             lines = ["threshold,er,f1,le,lr"]
             for thr, s in rows:
                 lines.append(f"{thr},{s.er:.6f},{s.f1:.6f},{s.le:.6f},{s.lr:.6f}")
-            Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _atomic_write_bytes(args.report, ("\n".join(lines) + "\n").encode("utf-8"))
         return 0
     scores = metrics.compute_seld_scores(
         read_label_csv(args.pred), refs, average=args.average
     )
     print(metrics.format_scores_line(scores))
     if args.report:
-        Path(args.report).write_text(metrics.scores_to_csv(scores), encoding="utf-8")
+        _atomic_write_bytes(args.report, metrics.scores_to_csv(scores).encode("utf-8"))
     return 0
 
 
@@ -247,31 +248,21 @@ def cmd_gradcheck(args) -> int:
     if c % r != 0 or f % r != 0:
         raise SeldkitError(f"ratio {r} must divide both C={c} and F={f}")
 
-    variants = {
-        "channel": se_block.channel_gradcheck_ops(),
-        "freq": se_block.freq_gradcheck_ops(),
-        "multi": se_block.multi_gradcheck_ops(),
-    }
     all_pass = True
-    for name, (fwd, bwd) in variants.items():
+    for name in se_block.GRADCHECK_BLOCKS:
+        fwd, bwd = se_block.gradcheck_ops(name)
         worst = 0.0
         for seed in range(args.seeds):
             rng = augment.make_rng(seed)
             x = rng.standard_normal((c, f, t))
-            if name == "channel":
-                params = se_block.random_params(rng, c, r).as_arrays()
-            elif name == "freq":
-                params = se_block.random_params(rng, f, r).as_arrays()
-            else:
-                params = (se_block.random_params(rng, f, r).as_arrays()
-                          + se_block.random_params(rng, c, r).as_arrays())
+            params = se_block.gradcheck_params(rng, name, x.shape, r)
             worst = max(worst, se_block.gradcheck(fwd, bwd, x, params, args.eps))
         ok = worst < GRADCHECK_TOLERANCE
         all_pass = all_pass and ok
         verdict = "PASS" if ok else "FAIL"
         print(f"{name}: {verdict} max_rel_err {worst:.3e} "
               f"(threshold {GRADCHECK_TOLERANCE:g})")
-    print(f"{3 * args.seeds} checks total")
+    print(f"{len(se_block.GRADCHECK_BLOCKS) * args.seeds} checks total")
     return 0 if all_pass else 1
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import secrets
 import struct
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,9 +95,6 @@ class Event:
     elevation: float
 
 
-EventList = list  # list[Event]; kept as a plain list for numpy-friendly code
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     audio_path: str
@@ -151,7 +149,7 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> list:
     """
     events = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text_input(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -199,10 +197,12 @@ def write_feature_file(tensor: np.ndarray, path) -> None:
     Layout: magic "SLSA", u32 version=1, u32 ndim, ndim u64 dims, then the
     row-major float32 payload, all little-endian.
     """
-    arr = np.asarray(tensor)
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(tensor, dtype="<f4")
+    # checked after the cast: values beyond float32 range overflow to inf
     if not np.all(np.isfinite(arr)):
-        raise SeldkitError("refusing to serialize non-finite tensor")
-    arr = np.ascontiguousarray(arr, dtype="<f4")
+        raise SeldkitError("refusing to serialize non-finite tensor "
+                           "(or values beyond float32 range)")
     header = _MAGIC + struct.pack("<II", _VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     _atomic_write_bytes(path, header + arr.tobytes())
@@ -237,12 +237,14 @@ def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
     """Read a dataset manifest CSV with header audio_path,label_path,split."""
     entries = []
     seen_audio = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text_input(path) as fh:
         reader = csv.DictReader(fh)
         required = {"audio_path", "label_path", "split"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise MalformedRow(f"{path}: manifest needs columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row.values():
+                raise MalformedRow(f"{path}:{lineno}: missing fields")
             audio = row["audio_path"].strip()
             label = row["label_path"].strip()
             if not audio:
@@ -256,13 +258,37 @@ def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
     return DatasetManifest(entries, n_classes)
 
 
+@contextmanager
+def _open_text_input(path):
+    """Open a UTF-8 text input file for reading.
+
+    Bytes that do not decode, or that the csv module cannot parse, make the
+    file malformed input: they raise MalformedRow naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}: {exc}") from exc
+
+
 def _atomic_write_bytes(path, blob: bytes) -> None:
-    """Write via a sibling temp file + rename so readers never see partials."""
+    """Write via a synced sibling temp file + rename so readers never see
+    partials, even after a crash.
+
+    The temp file is created with mode 0o666 so the file ends up with the
+    umask-derived mode any plain open() would give it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,17 +1,21 @@
 """Squeeze-and-excitation operators with verified analytic gradients.
 
-Two gating variants over a (C, F, T) map: channel SE squeezes each channel
-to a scalar by averaging over frequency and time, frequency SE recomputes
-its excitation independently for every time frame from the channel mean.
+Every SE variant is one operator over a (C, F, T) map: squeeze it to means
+over some axes, excite the means through a d -> d/r -> d bottleneck (ReLU,
+then sigmoid), and gate the map by the result. The variants differ only in
+the axes they squeeze. Channel SE averages over frequency and time, so each
+channel gets one gate; frequency SE averages over channels, so each
+frequency bin gets a gate recomputed independently for every time frame.
 The multi-dimensional block runs frequency first, then channel. Everything
 here is float64 so the central-difference checks in gradcheck are
-meaningful; the backward passes are exact gradients of the forwards,
+meaningful; the backward pass is the exact gradient of the forward,
 including the paths through the squeeze means and the gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -83,66 +87,30 @@ def random_params(rng, d: int, r: int, scale: float = 0.5) -> SeParams:
     )
 
 
-def channel_se_forward(x, p: SeParams) -> np.ndarray:
-    """Gate each channel by an excitation of the global channel means."""
+# The (C, F, T) axes each variant averages over. The first axis left over is
+# the gated one, of size d; each of the m cells along the rest gets its own
+# excitation (m = 1 for channel SE, m = T for frequency SE).
+_SQUEEZE_AXES = {"channel": (1, 2), "freq": (0,)}
+
+
+def se_forward(x, p: SeParams, which: str) -> np.ndarray:
+    """Gate x by an excitation of its means over the axes that variant
+    `which` ("channel" or "freq") squeezes."""
     x = _as_tensor3(x)
-    if p.d != x.shape[0]:
-        raise ShapeMismatch(f"params expect d={p.d}, input has C={x.shape[0]}")
-    z = x.mean(axis=(1, 2))
-    h = np.maximum(p.w1 @ z + p.b1, 0.0)
-    s = expit(p.w2 @ h + p.b2)
-    return s[:, None, None] * x
+    gate_shape, _, _, _, s = _squeeze_excite(x, p, which)
+    return s.reshape(gate_shape) * x
 
 
-def channel_se_backward(x, p: SeParams, grad_y) -> tuple:
-    x = _as_tensor3(x)
-    grad_y = _as_tensor3(grad_y)
-    if grad_y.shape != x.shape:
-        raise ShapeMismatch(f"grad shape {grad_y.shape} != input {x.shape}")
-    if p.d != x.shape[0]:
-        raise ShapeMismatch(f"params expect d={p.d}, input has C={x.shape[0]}")
-    z = x.mean(axis=(1, 2))
-    a1 = p.w1 @ z + p.b1
-    h = np.maximum(a1, 0.0)
-    s = expit(p.w2 @ h + p.b2)
-
-    grad_s = (grad_y * x).sum(axis=(1, 2))
-    grad_a2 = grad_s * s * (1.0 - s)
-    grad_w2 = np.outer(grad_a2, h)
-    grad_h = p.w2.T @ grad_a2
-    grad_a1 = grad_h * (a1 > 0)
-    grad_w1 = np.outer(grad_a1, z)
-    grad_z = p.w1.T @ grad_a1
-
-    n_cells = x.shape[1] * x.shape[2]
-    grad_x = s[:, None, None] * grad_y + grad_z[:, None, None] / n_cells
-    return grad_x, SeParams(grad_w1, grad_a1, grad_w2, grad_a2)
-
-
-def freq_se_forward(x, p: SeParams) -> np.ndarray:
-    """Gate each frequency bin, re-exciting independently per time frame."""
-    x = _as_tensor3(x)
-    if p.d != x.shape[1]:
-        raise ShapeMismatch(f"params expect d={p.d}, input has F={x.shape[1]}")
-    z = x.mean(axis=0)
-    h = np.maximum(p.w1 @ z + p.b1[:, None], 0.0)
-    s = expit(p.w2 @ h + p.b2[:, None])
-    return s[None, :, :] * x
-
-
-def freq_se_backward(x, p: SeParams, grad_y) -> tuple:
+def se_backward(x, p: SeParams, grad_y, which: str) -> tuple:
+    """Exact gradients of se_forward: (grad_x, parameter gradients)."""
+    axes = _squeeze_axes(which)
     x = _as_tensor3(x)
     grad_y = _as_tensor3(grad_y)
     if grad_y.shape != x.shape:
         raise ShapeMismatch(f"grad shape {grad_y.shape} != input {x.shape}")
-    if p.d != x.shape[1]:
-        raise ShapeMismatch(f"params expect d={p.d}, input has F={x.shape[1]}")
-    z = x.mean(axis=0)
-    a1 = p.w1 @ z + p.b1[:, None]
-    h = np.maximum(a1, 0.0)
-    s = expit(p.w2 @ h + p.b2[:, None])
+    gate_shape, z, a1, h, s = _squeeze_excite(x, p, which)
 
-    grad_s = (grad_y * x).sum(axis=0)
+    grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)
     grad_a2 = grad_s * s * (1.0 - s)
     grad_w2 = grad_a2 @ h.T
     grad_h = p.w2.T @ grad_a2
@@ -150,9 +118,17 @@ def freq_se_backward(x, p: SeParams, grad_y) -> tuple:
     grad_w1 = grad_a1 @ z.T
     grad_z = p.w1.T @ grad_a1
 
-    grad_x = s[None, :, :] * grad_y + grad_z[None, :, :] / x.shape[0]
+    n_squeezed = x.size // s.size
+    grad_x = (s.reshape(gate_shape) * grad_y
+              + grad_z.reshape(gate_shape) / n_squeezed)
     return grad_x, SeParams(grad_w1, grad_a1.sum(axis=1),
                             grad_w2, grad_a2.sum(axis=1))
+
+
+channel_se_forward = partial(se_forward, which="channel")
+channel_se_backward = partial(se_backward, which="channel")
+freq_se_forward = partial(se_forward, which="freq")
+freq_se_backward = partial(se_backward, which="freq")
 
 
 def multi_dim_se_forward(x, p_freq: SeParams, p_chan: SeParams) -> np.ndarray:
@@ -166,15 +142,6 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
     grad_inner, grad_p_chan = channel_se_backward(inner, p_chan, grad_y)
     grad_x, grad_p_freq = freq_se_backward(x, p_freq, grad_inner)
     return grad_x, grad_p_freq, grad_p_chan
-
-
-def se_backward(x, p: SeParams, grad_y, which: str) -> tuple:
-    """Dispatch to the matching backward: which is "channel" or "freq"."""
-    if which == "channel":
-        return channel_se_backward(x, p, grad_y)
-    if which == "freq":
-        return freq_se_backward(x, p, grad_y)
-    raise SeldkitError(f"unknown SE variant {which!r}")
 
 
 def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
@@ -218,41 +185,45 @@ def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
     return worst
 
 
-def channel_gradcheck_ops() -> tuple:
-    """(forward, backward) pair for gradcheck over channel SE."""
+# Blocks `seldkit gradcheck` verifies: forward(x, *params),
+# backward(x, *params, grad_y) and the variant each parameter set is for.
+_GRADCHECK = {
+    "channel": (channel_se_forward, channel_se_backward, ("channel",)),
+    "freq": (freq_se_forward, freq_se_backward, ("freq",)),
+    "multi": (multi_dim_se_forward, multi_dim_se_backward, ("freq", "channel")),
+}
+GRADCHECK_BLOCKS = tuple(_GRADCHECK)
+
+
+def gradcheck_ops(block: str) -> tuple:
+    """(forward, backward) pair for gradcheck on one of GRADCHECK_BLOCKS;
+    params is each stage's (w1, b1, w2, b2) in turn, frequency first."""
+    forward, backward, _ = _GRADCHECK[block]
+
+    def split(params):
+        return [SeParams(*params[i:i + 4]) for i in range(0, len(params), 4)]
+
     def fwd(x, params):
-        return channel_se_forward(x, SeParams(*params))
+        return forward(x, *split(params))
 
     def bwd(x, params, grad_y):
-        grad_x, grad_p = channel_se_backward(x, SeParams(*params), grad_y)
-        return grad_x, grad_p.as_arrays()
+        grad_x, *grad_ps = backward(x, *split(params), grad_y)
+        return grad_x, tuple(a for g in grad_ps for a in g.as_arrays())
 
     return fwd, bwd
 
 
-def freq_gradcheck_ops() -> tuple:
-    def fwd(x, params):
-        return freq_se_forward(x, SeParams(*params))
-
-    def bwd(x, params, grad_y):
-        grad_x, grad_p = freq_se_backward(x, SeParams(*params), grad_y)
-        return grad_x, grad_p.as_arrays()
-
-    return fwd, bwd
+def gradcheck_params(rng, block: str, shape, r: int) -> tuple:
+    """Random flat params for gradcheck_ops(block) on a (C, F, T) shape."""
+    return tuple(
+        a for which in _GRADCHECK[block][2]
+        for a in random_params(rng, shape[_gated_axis(which)], r).as_arrays()
+    )
 
 
-def multi_gradcheck_ops() -> tuple:
-    """gradcheck pair for the composed block; params is both sets, freq first."""
-    def fwd(x, params):
-        return multi_dim_se_forward(x, SeParams(*params[:4]), SeParams(*params[4:]))
-
-    def bwd(x, params, grad_y):
-        grad_x, gp_freq, gp_chan = multi_dim_se_backward(
-            x, SeParams(*params[:4]), SeParams(*params[4:]), grad_y
-        )
-        return grad_x, gp_freq.as_arrays() + gp_chan.as_arrays()
-
-    return fwd, bwd
+channel_gradcheck_ops = partial(gradcheck_ops, "channel")
+freq_gradcheck_ops = partial(gradcheck_ops, "freq")
+multi_gradcheck_ops = partial(gradcheck_ops, "multi")
 
 
 def save_se_params(p: SeParams, path) -> None:
@@ -293,6 +264,34 @@ def _hidden_size(d: int, r: int) -> int:
     if r < 1 or d < 1 or d % r != 0:
         raise SeldkitError(f"reduction ratio {r} does not divide d={d}")
     return d // r
+
+
+def _squeeze_axes(which: str) -> tuple:
+    try:
+        return _SQUEEZE_AXES[which]
+    except KeyError:
+        raise SeldkitError(f"unknown SE variant {which!r}") from None
+
+
+def _gated_axis(which: str) -> int:
+    return min(set(range(3)) - set(_squeeze_axes(which)))
+
+
+def _squeeze_excite(x, p: SeParams, which: str) -> tuple:
+    """Squeeze x to (d, m) means z and run the bottleneck on them: returns
+    the shape that lifts (d, m) back onto x, z, a1, h and the gates s."""
+    axes = _squeeze_axes(which)
+    gated = _gated_axis(which)
+    if p.d != x.shape[gated]:
+        raise ShapeMismatch(
+            f"params expect d={p.d}, input has {'CFT'[gated]}={x.shape[gated]}"
+        )
+    gate_shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+    z = x.mean(axis=axes).reshape(p.d, -1)
+    a1 = p.w1 @ z + p.b1[:, None]
+    h = np.maximum(a1, 0.0)
+    s = expit(p.w2 @ h + p.b2[:, None])
+    return gate_shape, z, a1, h, s
 
 
 def _as_tensor3(x) -> np.ndarray:

@@ -166,6 +166,20 @@ class TestDecode:
         got = [(e.frame, e.class_id) for e in decode(tensor)]
         assert got == [(0, 2), (0, 9), (3, 1)]
 
+    def test_threshold_floor(self):
+        # below 1e-9 a vector may pass the threshold yet have no direction;
+        # such thresholds are refused whatever the tensor holds
+        tensor = np.zeros((3, 13, 4))
+        tensor[:, 0, 0] = 5e-10 * doa_to_unit_vector(0.0, 0.0)
+        tensor[:, 1, 2] = 2e-9 * doa_to_unit_vector(90.0, 0.0)
+        for threshold in (1e-12, 1e-10, 0.999e-9):
+            for t in (tensor, np.zeros((3, 13, 4))):
+                with pytest.raises(SeldkitError, match="1e-09"):
+                    decode(t, threshold=threshold)
+        events = decode(tensor, threshold=1e-9)
+        assert [(e.frame, e.class_id) for e in events] == [(2, 1)]
+        assert_allclose(events[0].azimuth, 90.0, atol=1e-9)
+
     def test_bad_inputs(self):
         with pytest.raises(SeldkitError):
             decode(np.zeros((3, 13, 4)), threshold=0.0)

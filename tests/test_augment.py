@@ -545,6 +545,12 @@ class TestConfigParsing:
         with pytest.raises(SeldkitError):
             parse_config_file(path)
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "aug.cfg"
+        path.write_bytes(b"\xff\xfecs_prob=0.8\n")
+        with pytest.raises(SeldkitError, match="aug.cfg: not UTF-8"):
+            parse_config_file(path)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SeldkitError):
             config_from_mapping({"cs_probability": "0.5"})

@@ -5,6 +5,7 @@ on stdout/stderr, and the bytes of any files written. Subcommand plumbing
 is verified against direct library calls on the same inputs.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,30 @@ class TestScoreCmd:
         assert lines[1] == "er,0.000000"
         assert lines[2] == "f1,100.000000"
         assert lines[5] == "er_undefined,0"
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_failed_report_write_keeps_old_report(self, tmp_path, capsys,
+                                                  monkeypatch, sweep):
+        events = nonempty_events(3)
+        ref = tmp_path / "ref.csv"
+        write_label_csv(events, ref)
+        pred = ref
+        if sweep:
+            pred = tmp_path / "pred.slsa"
+            write_feature_file(accdoa.encode(events, 20), pred)
+        report = tmp_path / "scores.csv"
+        report.write_bytes(b"old report\n")
+
+        def replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", replace)
+        argv = ["score", str(pred), str(ref), "--report", str(report)]
+        rc = cli.main(argv + (["--sweep"] if sweep else []))
+        assert rc == 1
+        assert capsys.readouterr().err == "error: disk gone\n"
+        assert report.read_bytes() == b"old report\n"
+        assert set(tmp_path.iterdir()) == {ref, pred, report}
 
     def test_sweep_over_tensor(self, tmp_path, capsys):
         events = nonempty_events(4)
@@ -598,3 +623,52 @@ class TestExitCodes:
         rc = cli.main(["decode", str(tensor), "--out", str(tmp_path / "y.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("internal error: RuntimeError")
+
+
+BAD_INPUTS = {
+    "non_utf8": b"\xff\xfe0,1,0,10,5\n",
+    "random": np.random.default_rng(2024).bytes(512),
+    "random_ascii": bytes(np.random.default_rng(2025).integers(9, 127, 512,
+                                                              dtype=np.uint8)),
+    "huge_field": b"x" * 200_000 + b"\n",
+}
+
+
+def contract_argv(command, bad, tmp_path):
+    """argv that makes `command` read the file `bad` as its input."""
+    out = str(tmp_path / "out")
+    if command == "augment":
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=30)
+        return ["augment", "--features", str(f_in), "--labels", str(l_in),
+                "--config", bad, "--out-features", out, "--out-labels", out + "2"]
+    ref = tmp_path / "ref.csv"
+    write_label_csv(nonempty_events(31), ref)
+    return {
+        "encode": ["encode", bad, "--frames", "20", "--out", out],
+        "score_pred": ["score", bad, str(ref)],
+        "score_ref": ["score", str(ref), bad],
+        "score_sweep": ["score", bad, str(ref), "--sweep"],
+        "extract": ["extract", bad, out],
+        "decode": ["decode", bad, "--out", out],
+        "ensemble": ["ensemble", bad, "--out", out],
+        "stats": ["stats", bad, "--out", out],
+    }[command]
+
+
+class TestInputBytesContract:
+    """Whatever bytes an input file holds, the CLI reports an input error
+    (exit 1, one "error:" line), never an internal one (exit 2)."""
+
+    @pytest.mark.parametrize("payload", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("command", [
+        "encode", "score_pred", "score_ref", "score_sweep", "extract",
+        "augment", "decode", "ensemble", "stats",
+    ])
+    def test_bad_bytes_exit_one(self, tmp_path, capsys, command, payload):
+        bad = tmp_path / "bad.in"
+        bad.write_bytes(BAD_INPUTS[payload])
+        rc = cli.main(contract_argv(command, str(bad), tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()

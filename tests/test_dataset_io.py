@@ -1,5 +1,6 @@
 """Tests for WAV/CSV/manifest readers and the SLSA feature container."""
 
+import os
 import struct
 
 import numpy as np
@@ -204,6 +205,14 @@ class TestReadLabelCsv:
         with pytest.raises(MalformedRow):
             read_label_csv(path)
 
+    def test_unreadable_text_rejected(self, tmp_path):
+        path = tmp_path / "l.csv"
+        for blob in (b"\xff\xfe0,1,0,10,5\n", b"0,1,0,10,5\n\xc3\x28\n",
+                     b"x" * 200_000 + b"\n"):
+            path.write_bytes(blob)
+            with pytest.raises(MalformedRow, match="l.csv"):
+                read_label_csv(path)
+
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,1,0,10.5,5\n")
@@ -312,6 +321,13 @@ class TestFeatureContainer:
         with pytest.raises(SeldkitError):
             write_feature_file(np.array([1.0, np.inf]), tmp_path / "t.slsa")
 
+    def test_beyond_float32_range_rejected(self, tmp_path):
+        # finite in float64, but the float32 payload would hold +/-inf
+        for value in (1e39, -1e39):
+            with pytest.raises(SeldkitError):
+                write_feature_file(np.array([1.0, value]), tmp_path / "t.slsa")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.slsa"
         write_feature_file(np.zeros(3), path)
@@ -394,6 +410,20 @@ class TestReadManifest:
         with pytest.raises(SeldkitError):
             read_manifest(path)
 
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("audio_path,label_path,split\na.wav,a.csv,train\nb.wav\n")
+        with pytest.raises(MalformedRow, match="m.csv:3"):
+            read_manifest(path)
+
+    def test_unreadable_text_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        for blob in (b"\xff\xfeaudio_path,label_path,split\n",
+                     b"audio_path,label_path,split\n" + b"x" * 200_000 + b"\n"):
+            path.write_bytes(blob)
+            with pytest.raises(MalformedRow, match="m.csv"):
+                read_manifest(path)
+
     def test_duplicate_audio(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -401,3 +431,33 @@ class TestReadManifest:
         )
         with pytest.raises(SeldkitError):
             read_manifest(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_feature_file(np.zeros(3), tmp_path / "t.slsa")
+            write_label_csv([Event(0, 0, 0.0, 0.0)], tmp_path / "l.csv")
+        finally:
+            os.umask(old)
+        for name in ("t.slsa", "l.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_synced_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_feature_file(np.zeros(3), tmp_path / "t.slsa")
+        assert calls == ["fsync", "replace"]
