@@ -234,9 +234,14 @@ def read_feature_file(path) -> np.ndarray:
 
 
 def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
-    """Read a dataset manifest CSV with header audio_path,label_path,split."""
+    """Read a dataset manifest CSV with header audio_path,label_path,split.
+
+    Each clip's features are written as <audio stem>.slsa, so two rows whose
+    audio paths share a stem (the same path twice, or a/x.wav and b/x.wav)
+    are rejected, naming both lines.
+    """
     entries = []
-    seen_audio = set()
+    stem_lines = {}
     with _open_text_input(path) as fh:
         reader = csv.DictReader(fh)
         required = {"audio_path", "label_path", "split"}
@@ -251,9 +256,13 @@ def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
                 raise MalformedRow(f"{path}:{lineno}: empty audio_path")
             if audio == label:
                 raise SeldkitError(f"{path}:{lineno}: audio and label paths collide")
-            if audio in seen_audio:
-                raise SeldkitError(f"{path}:{lineno}: duplicate audio path {audio}")
-            seen_audio.add(audio)
+            stem = Path(audio).stem
+            if stem in stem_lines:
+                raise SeldkitError(
+                    f"{path}:{lineno}: audio path {audio} has the output stem "
+                    f"{stem!r} of {path}:{stem_lines[stem]}"
+                )
+            stem_lines[stem] = lineno
             entries.append(ManifestEntry(audio, label, row["split"].strip()))
     return DatasetManifest(entries, n_classes)
 

@@ -23,6 +23,9 @@ N_FREQ_BINS = 200
 SPEC_FLOOR = 1e-10
 
 _EPS_EIGVEC = 1e-9
+_BLOCK_FRAMES = 512
+# (row, column) of the 10 lower-triangle entries of a 4x4 covariance
+_TRIL_A, _TRIL_B = np.tril_indices(4)
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,43 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     (|u[0]| <= 1e-9) carry no usable direction and come out zero; vectors
     longer than 1 are rescaled onto the unit sphere.
 
+    The covariance is summed directly (shifted adds, no running sums, so
+    quiet bins after loud ones keep full precision) in blocks of time
+    frames, each read with the halo its window needs. Working memory is
+    O(n_bins x block) whatever the clip length, and every output frame is
+    the same whatever the block size. Only the lower triangle of each
+    covariance is filled, because eigh reads only that.
+
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
+    size_f, size_t = smooth
+    if size_f < 1 or size_t < 1:
+        raise SeldkitError(f"smoothing window must be positive, got {smooth}")
     x = _spec_bins(spec)[:, :n_bins, :]
-    outer = np.einsum("aft,bft->abft", x, x.conj())
-    cov = _box_mean(outer, smooth)
-    cov = np.moveaxis(cov, (0, 1), (2, 3))
-    cov = (cov + cov.conj().swapaxes(-1, -2)) / 2.0
-    _, vecs = np.linalg.eigh(cov)
-    u = vecs[..., :, -1]
+    n_f, n_t = x.shape[1:]
+    f_before, f_after = (size_f - 1) // 2, size_f // 2
+    t_before, t_after = (size_t - 1) // 2, size_t // 2
+    counts_f = _box_sum(np.ones(n_f), f_before, f_after, axis=0)
+    counts_t = _box_sum(np.ones(n_t), t_before, t_after, axis=0)
 
+    intensity = np.empty((3, n_f, n_t))
+    for start in range(0, n_t, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, n_t)
+        lo, hi = max(start - t_before, 0), min(stop + t_after, n_t)
+        block = x[:, :, lo:hi]
+        sums = block[_TRIL_A] * block[_TRIL_B].conj()
+        sums = _box_sum(sums, f_before, f_after, axis=1)
+        sums = _box_sum(sums, t_before, t_after, axis=2)[:, :, start - lo:stop - lo]
+        mean = sums / (counts_f[:, None] * counts_t[start:stop])
+        cov = np.zeros((n_f, stop - start, 4, 4), dtype=mean.dtype)
+        cov[..., _TRIL_A, _TRIL_B] = np.moveaxis(mean, 0, -1)
+        _, vecs = np.linalg.eigh(cov)
+        intensity[:, :, start:stop] = _direction(vecs[..., :, -1])
+    return intensity
+
+
+def _direction(u: np.ndarray) -> np.ndarray:
+    """(I_x, I_y, I_z) from principal eigenvectors u of shape (..., 4)."""
     u0 = u[..., 0]
     usable = np.abs(u0) > _EPS_EIGVEC
     safe_u0 = np.where(usable, u0, 1.0)
@@ -194,32 +224,13 @@ def _spec_bins(spec) -> np.ndarray:
     return np.asarray(spec)
 
 
-def _box_mean(arr: np.ndarray, smooth) -> np.ndarray:
-    """Mean over a centered (smooth[0] x smooth[1]) window on the last two
-    axes, dividing by the number of cells actually inside the grid."""
-    size_f, size_t = smooth
-    if size_f < 1 or size_t < 1:
-        raise SeldkitError(f"smoothing window must be positive, got {smooth}")
-    if size_f == 1 and size_t == 1:
-        return arr.copy()
-    n_f, n_t = arr.shape[-2:]
-    integral = np.zeros(arr.shape[:-2] + (n_f + 1, n_t + 1), dtype=arr.dtype)
-    integral[..., 1:, 1:] = arr.cumsum(axis=-2).cumsum(axis=-1)
-
-    f_lo, f_hi = _window_edges(n_f, size_f)
-    t_lo, t_hi = _window_edges(n_t, size_t)
-    sums = (
-        integral[..., f_hi[:, None], t_hi[None, :]]
-        - integral[..., f_lo[:, None], t_hi[None, :]]
-        - integral[..., f_hi[:, None], t_lo[None, :]]
-        + integral[..., f_lo[:, None], t_lo[None, :]]
-    )
-    counts = (f_hi - f_lo)[:, None] * (t_hi - t_lo)[None, :]
-    return sums / counts
-
-
-def _window_edges(n: int, size: int):
-    idx = np.arange(n)
-    lo = np.maximum(idx - (size - 1) // 2, 0)
-    hi = np.minimum(idx + size // 2 + 1, n)
-    return lo, hi
+def _box_sum(arr: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
+    """Sum over the window [i - before, i + after] along axis, clipped to
+    the array's extent, by shifted adds in a fixed order."""
+    out = arr.copy()
+    src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    for k in range(1, before + 1):
+        dst[k:] += src[:-k]
+    for k in range(1, after + 1):
+        dst[:-k] += src[k:]
+    return out

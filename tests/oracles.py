@@ -158,3 +158,37 @@ def power_iteration(matrix, iterations=2000):
             return vec
         vec = nxt / norm
     return vec
+
+
+def direct_sum_intensity(bins, smooth=(3, 3)):
+    """Float64 intensity with the covariance summed term by term: every
+    x x^H in the clipped smooth = (freq, time) window is added from a
+    zero-padded copy of the grid, so no running sum or difference of sums
+    is involved. Principal eigenvector by eigh, then the same
+    ratio/reorder/clip rules."""
+    x = np.asarray(bins, dtype=complex)
+    n_f, n_t = x.shape[1:]
+    lo_f, hi_f = (smooth[0] - 1) // 2, smooth[0] // 2
+    lo_t, hi_t = (smooth[1] - 1) // 2, smooth[1] // 2
+    outer = np.einsum("aft,bft->ftab", x, x.conj())
+    padded = np.zeros((n_f + lo_f + hi_f, n_t + lo_t + hi_t, 4, 4), dtype=complex)
+    padded[lo_f:lo_f + n_f, lo_t:lo_t + n_t] = outer
+    inside = np.zeros(padded.shape[:2])
+    inside[lo_f:lo_f + n_f, lo_t:lo_t + n_t] = 1.0
+    acc = np.zeros((n_f, n_t, 4, 4), dtype=complex)
+    count = np.zeros((n_f, n_t))
+    for df in range(smooth[0]):
+        for dt in range(smooth[1]):
+            acc += padded[df:df + n_f, dt:dt + n_t]
+            count += inside[df:df + n_f, dt:dt + n_t]
+    _, vecs = np.linalg.eigh(acc / count[..., None, None])
+    u = vecs[..., :, -1]
+    out = np.zeros((3, n_f, n_t))
+    usable = np.abs(u[..., 0]) > 1e-9
+    ratios = (u[usable][:, 1:4] / u[usable][:, :1]).real
+    vec = ratios[:, [2, 0, 1]]
+    norm = np.linalg.norm(vec, axis=1)
+    vec = vec / np.maximum(norm, 1.0)[:, None]
+    vec[norm < 1e-9] = 0.0
+    out[:, usable] = vec.T
+    return out

@@ -221,6 +221,25 @@ class TestExtractCmd:
             )
             assert np.array_equal(read_feature_file(out_path), want)
 
+    def test_output_stem_collision_rejected(self, tmp_path, capsys):
+        rows = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            wav = tmp_path / sub / "x.wav"
+            helpers.write_wav(wav, helpers.make_noise_clip(n_samples=12000).samples)
+            rows.append((str(wav), str(tmp_path / sub / "x.csv"), "train"))
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, rows)
+        out_dir = tmp_path / "feat"
+        rc = cli.main(["extract", str(manifest), str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert f"{manifest}:3" in err and f"{manifest}:2" in err
+        assert not out_dir.exists()
+
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         manifest, rows = self.make_scene(tmp_path)
         rc1 = cli.main(["extract", str(manifest), str(tmp_path / "d1"),

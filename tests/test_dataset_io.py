@@ -432,6 +432,15 @@ class TestReadManifest:
         with pytest.raises(SeldkitError):
             read_manifest(path)
 
+    def test_output_stem_collision(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "audio_path,label_path,split\n"
+            "a/x.wav,a.csv,train\nc.wav,c.csv,train\nb/x.flac,b.csv,val\n"
+        )
+        with pytest.raises(SeldkitError, match=r"m.csv:4: .*b/x.flac.*m.csv:2"):
+            read_manifest(path)
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])

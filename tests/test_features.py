@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import helpers
 import oracles
+from seldkit import features
 from seldkit import (
     ComplexSpectrogram,
     MultichannelClip,
@@ -179,6 +180,50 @@ class TestEigenvectorIntensity:
             eigenvector_intensity(rotated, n_bins=6),
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("smooth", [(1, 1), (3, 3), (2, 4), (5, 1), (1, 5)])
+    def test_block_size_never_changes_output(self, smooth, monkeypatch):
+        # every block size must give the default's bits, also when a block
+        # is narrower than the window's halo; the small grids include ones
+        # with fewer bins or frames than the window
+        rng = np.random.default_rng(14)
+        grids = [rng.standard_normal((4, f, t)) + 1j * rng.standard_normal((4, f, t))
+                 for f, t in ((6, 9), (2, 3), (7, 1))]
+        grids.append(stft(helpers.make_noise_clip(seed=15)).bins[:, :200])
+        default = features._BLOCK_FRAMES
+        for grid in grids:
+            n_f, n_t = grid.shape[1:]
+            want = eigenvector_intensity(grid, n_bins=n_f, smooth=smooth)
+            if n_f * n_t < 100:
+                assert_allclose(want, oracles.loop_intensity(grid, smooth), atol=1e-7)
+            assert_allclose(want, oracles.direct_sum_intensity(grid, smooth), atol=1e-12)
+            for block in (1, 2, 7, n_t - 1, n_t, default):
+                if block < 1:
+                    continue
+                monkeypatch.setattr(features, "_BLOCK_FRAMES", block)
+                got = eigenvector_intensity(grid, n_bins=n_f, smooth=smooth)
+                assert_array_equal(got, want, err_msg=f"block {block}")
+            monkeypatch.setattr(features, "_BLOCK_FRAMES", default)
+
+    @pytest.mark.parametrize("smooth", [(0, 3), (3, -1)])
+    def test_non_positive_window_rejected(self, smooth):
+        grid = np.ones((4, 3, 3), dtype=complex)
+        with pytest.raises(SeldkitError, match="must be positive"):
+            eigenvector_intensity(grid, n_bins=3, smooth=smooth)
+
+    @pytest.mark.parametrize("drop_db", [40, 60, 80])
+    def test_quiet_after_loud_matches_direct_sum(self, drop_db):
+        # a running-sum (integral image) covariance loses the quiet half's
+        # digits to cancellation against the loud half; a direct sum keeps
+        # them, so the float64 oracle is matched to rounding
+        n = 24000 * 20
+        samples = helpers.make_plane_wave_clip(-70.0, 25.0, n_samples=n,
+                                               seed=16).samples.copy()
+        samples[:, n // 2:] *= 10.0 ** (-drop_db / 20.0)
+        spec = stft(MultichannelClip(samples))
+        got = eigenvector_intensity(spec)
+        want = oracles.direct_sum_intensity(spec.bins[:, :200])
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 class TestSalsa:
