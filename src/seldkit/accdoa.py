@@ -33,14 +33,7 @@ def doa_to_unit_vector(azimuth: float, elevation: float) -> np.ndarray:
 
     x points to azimuth 0, y to azimuth +90, z to elevation +90.
     """
-    if not -90.0 <= elevation <= 90.0:
-        raise ElevationOutOfRange(f"elevation {elevation} outside [-90, 90]")
-    az = np.deg2rad(azimuth)
-    el = np.deg2rad(elevation)
-    return np.array(
-        [np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), np.sin(el)],
-        dtype=np.float64,
-    )
+    return _unit_vectors([(azimuth, elevation)])[0]
 
 
 def unit_vector_to_doa(vec) -> tuple:
@@ -53,14 +46,45 @@ def unit_vector_to_doa(vec) -> tuple:
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (3,):
         raise ShapeMismatch(f"expected a (3,) vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm < _EPS_NORM:
+    azimuth, elevation = _directions(v[None])
+    return float(azimuth[0]), float(elevation[0])
+
+
+def _unit_vectors(doas) -> np.ndarray:
+    """Map N (azimuth, elevation) pairs in degrees to an (N, 3) array of
+    unit vectors, the array form of doa_to_unit_vector."""
+    doas = np.asarray(doas, dtype=np.float64).reshape(-1, 2)
+    inside = (doas[:, 1] >= -90.0) & (doas[:, 1] <= 90.0)
+    if not inside.all():
+        elevation = doas[~inside, 1][0]
+        raise ElevationOutOfRange(f"elevation {elevation} outside [-90, 90]")
+    az = np.deg2rad(doas[:, 0])
+    el = np.deg2rad(doas[:, 1])
+    cos_el = np.cos(el)
+    return np.stack([np.cos(az) * cos_el, np.sin(az) * cos_el, np.sin(el)], axis=-1)
+
+
+def _row_norms(vecs) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 3) array.
+
+    The stacked matmul reproduces np.linalg.norm of each row bit for bit;
+    a plain reduction or a BLAS gemv may round differently.
+    """
+    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
+
+
+def _directions(vecs) -> tuple:
+    """(azimuth, elevation) arrays in degrees for the rows of an (N, 3)
+    array, the array form of unit_vector_to_doa."""
+    norms = _row_norms(vecs)
+    short = norms < _EPS_NORM
+    if short.any():
+        norm = norms[short][0]
         raise ZeroVector(f"vector norm {norm} is too small to carry a direction")
-    x, y, z = v / norm
-    elevation = float(np.rad2deg(np.arcsin(np.clip(z, -1.0, 1.0))))
-    if np.hypot(x, y) < _EPS_NORM:
-        return 0.0, elevation
-    azimuth = normalize_azimuth(float(np.rad2deg(np.arctan2(y, x))))
+    x, y, z = (vecs / norms[:, None]).T
+    elevation = np.rad2deg(np.arcsin(np.clip(z, -1.0, 1.0)))
+    azimuth = normalize_azimuth(np.rad2deg(np.arctan2(y, x)))
+    azimuth[np.hypot(x, y) < _EPS_NORM] = 0.0
     return azimuth, elevation
 
 
@@ -95,7 +119,11 @@ def decode(tensor, threshold: float = 0.5) -> list:
 
     The comparison is strict, so a threshold of 1.0 silences even exact unit
     vectors. Thresholds below 1e-9 are rejected: shorter vectors have no
-    direction to decode. Returned events are sorted by (frame, class).
+    direction to decode. A tensor holding a cell whose norm is not finite
+    (a nan or inf entry, or one too large to square) is rejected with a
+    SeldkitError naming the first such cell in (frame, class) order, rather
+    than decoded as silence or as a nan direction. Returned events are
+    sorted by (frame, class).
     """
     if threshold <= 0.0:
         raise SeldkitError(f"threshold must be positive, got {threshold}")
@@ -107,13 +135,22 @@ def decode(tensor, threshold: float = 0.5) -> list:
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ShapeMismatch(f"expected (3, n_classes, n_frames), got {arr.shape}")
-    norms = np.linalg.norm(arr, axis=0)
-    events = []
-    for class_id, frame in np.argwhere(norms > threshold):
-        azimuth, elevation = unit_vector_to_doa(arr[:, class_id, frame])
-        events.append(Event(int(frame), int(class_id), azimuth, elevation))
-    events.sort()
-    return events
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.linalg.norm(arr, axis=0).T  # (n_frames, n_classes)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        frame, class_id = np.argwhere(~finite)[0]
+        raise SeldkitError(
+            f"ACCDOA vector of class {class_id} in frame {frame} has a "
+            "non-finite norm"
+        )
+    frames, classes = np.nonzero(norms > threshold)
+    azimuths, elevations = _directions(arr[:, classes, frames].T)
+    return [
+        Event(*cell)
+        for cell in zip(frames.tolist(), classes.tolist(),
+                        azimuths.tolist(), elevations.tolist())
+    ]
 
 
 def ensemble_average(tensors) -> np.ndarray:

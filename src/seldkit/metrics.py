@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .accdoa import decode, doa_to_unit_vector
+from .accdoa import _row_norms, _unit_vectors, decode
 from .errors import ZeroVector
 
 SEGMENT_LABEL_FRAMES = 10
 SPATIAL_THRESHOLD_DEG = 20.0
 
 _EPS_NORM = 1e-9
+_NO_VECTORS = np.empty((0, 3))
 
 
 @dataclass
@@ -60,12 +61,24 @@ def angular_distance(v1, v2) -> float:
     """Great-circle angle between two direction vectors, in degrees."""
     a = np.asarray(v1, dtype=np.float64)
     b = np.asarray(v2, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _EPS_NORM or nb < _EPS_NORM:
+    return float(_angle_matrix(a[None], b[None])[0, 0])
+
+
+def _angle_matrix(a, b) -> np.ndarray:
+    """(P, R) great-circle angles in degrees between the rows of a (P, 3)
+    and b (R, 3), the array form of angular_distance.
+
+    Each dot product is its own stacked 1x3 @ 3x1 matmul, which rounds like
+    np.dot of the two rows; a @ b.T becomes a BLAS gemv when P or R is 1
+    and can differ in the last bit.
+    """
+    na = _row_norms(a)
+    nb = _row_norms(b)
+    if (na < _EPS_NORM).any() or (nb < _EPS_NORM).any():
         raise ZeroVector("cannot measure an angle to a zero vector")
-    cos = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.rad2deg(np.arccos(cos)))
+    dots = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
+    cos = np.clip(dots / (na[:, None] * nb[None, :]), -1.0, 1.0)
+    return np.rad2deg(np.arccos(cos))
 
 
 def segment_events(events, segment_len: int = SEGMENT_LABEL_FRAMES) -> dict:
@@ -90,18 +103,29 @@ def match_cell(pred_doas, ref_doas) -> tuple:
     """
     if not pred_doas or not ref_doas:
         return [], len(pred_doas), len(ref_doas)
-    cost = np.array(
-        [
-            [
-                angular_distance(doa_to_unit_vector(*p), doa_to_unit_vector(*r))
-                for r in ref_doas
-            ]
-            for p in pred_doas
-        ]
-    )
+    return _match_vectors(_unit_vectors(pred_doas), _unit_vectors(ref_doas))
+
+
+def _match_vectors(pred_vecs, ref_vecs) -> tuple:
+    """match_cell over (P, 3) and (R, 3) unit-vector arrays."""
+    if not len(pred_vecs) or not len(ref_vecs):
+        return [], len(pred_vecs), len(ref_vecs)
+    cost = _angle_matrix(pred_vecs, ref_vecs)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
-    return pairs, len(pred_doas) - len(pairs), len(ref_doas) - len(pairs)
+    return pairs, len(pred_vecs) - len(pairs), len(ref_vecs) - len(pairs)
+
+
+def _vector_cells(events, segment_len: int) -> dict:
+    """segment_events with each cell's DoAs as a (n, 3) unit-vector array.
+
+    All DoAs of the call are converted in one _unit_vectors call, so an
+    elevation outside [-90, 90] anywhere among the events is rejected.
+    """
+    cells = segment_events(events, segment_len)
+    vecs = _unit_vectors([doa for doas in cells.values() for doa in doas])
+    ends = np.cumsum([len(doas) for doas in cells.values()], dtype=int)
+    return dict(zip(cells, np.split(vecs, ends[:-1])))
 
 
 def compute_seld_scores(preds, refs,
@@ -112,59 +136,70 @@ def compute_seld_scores(preds, refs,
 
     Empty references leave ER without a denominator: er is then 0.0 with
     er_undefined set. When both sides are empty every score is perfect by
-    convention (0, 100, 0, 100).
+    convention (0, 100, 0, 100). Each (segment, class) cell is matched on
+    one angle matrix built from its unit vectors in one array expression.
     """
-    if average not in ("macro", "micro"):
-        raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
-    pred_cells = segment_events(preds, segment_len)
-    ref_cells = segment_events(refs, segment_len)
-
-    per_class = defaultdict(ClassCounts)
-    per_segment = defaultdict(lambda: [0, 0, 0])  # fp, fn, n_refs
-    for cell in set(pred_cells) | set(ref_cells):
-        segment, class_id = cell
-        p = pred_cells.get(cell, [])
-        r = ref_cells.get(cell, [])
-        pairs, unmatched_p, unmatched_r = match_cell(p, r)
-        tp = sum(1 for _, _, angle in pairs if angle < spatial_threshold)
-        far = len(pairs) - tp
-        counts = per_class[class_id]
-        counts.tp += tp
-        counts.fp += unmatched_p + far
-        counts.fn += unmatched_r + far
-        counts.n_matched += len(pairs)
-        counts.n_refs += len(r)
-        counts.angle_sum += sum(angle for _, _, angle in pairs)
-        seg = per_segment[segment]
-        seg[0] += unmatched_p + far
-        seg[1] += unmatched_r + far
-        seg[2] += len(r)
-
-    errors = 0
-    total_refs = 0
-    for fp, fn, n_refs in per_segment.values():
-        substitutions = min(fp, fn)
-        errors += substitutions + (fn - substitutions) + (fp - substitutions)
-        total_refs += n_refs
-    er_undefined = total_refs == 0
-    er = 0.0 if er_undefined else errors / total_refs
-
-    f1 = _average_f1(per_class, average)
-    le = _average_le(per_class, average, empty_inputs=not per_class)
-    lr = _average_lr(per_class, average)
-    return SeldScores(er, f1, le, lr, er_undefined, dict(per_class))
+    return _reference_scorer(refs, spatial_threshold, segment_len, average)(preds)
 
 
 def threshold_sweep(accdoa_pred, refs, thresholds=(0.3, 0.5, 0.7),
                     **score_kwargs) -> list:
     """Decode a prediction tensor at each threshold and score it.
 
-    Returns [(threshold, SeldScores)] in the given threshold order.
+    The references are segmented and converted to unit vectors once for
+    all thresholds. Returns [(threshold, SeldScores)] in the given
+    threshold order.
     """
-    return [
-        (thr, compute_seld_scores(decode(accdoa_pred, thr), refs, **score_kwargs))
-        for thr in thresholds
-    ]
+    score = _reference_scorer(refs, **score_kwargs)
+    return [(thr, score(decode(accdoa_pred, thr))) for thr in thresholds]
+
+
+def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
+                      segment_len: int = SEGMENT_LABEL_FRAMES,
+                      average: str = "macro"):
+    """Segment and convert refs once; return preds -> SeldScores."""
+    if average not in ("macro", "micro"):
+        raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
+    ref_cells = _vector_cells(refs, segment_len)
+
+    def score(preds) -> SeldScores:
+        pred_cells = _vector_cells(preds, segment_len)
+        per_class = defaultdict(ClassCounts)
+        per_segment = defaultdict(lambda: [0, 0, 0])  # fp, fn, n_refs
+        for cell in set(pred_cells) | set(ref_cells):
+            segment, class_id = cell
+            p = pred_cells.get(cell, _NO_VECTORS)
+            r = ref_cells.get(cell, _NO_VECTORS)
+            pairs, unmatched_p, unmatched_r = _match_vectors(p, r)
+            tp = sum(1 for _, _, angle in pairs if angle < spatial_threshold)
+            far = len(pairs) - tp
+            counts = per_class[class_id]
+            counts.tp += tp
+            counts.fp += unmatched_p + far
+            counts.fn += unmatched_r + far
+            counts.n_matched += len(pairs)
+            counts.n_refs += len(r)
+            counts.angle_sum += sum(angle for _, _, angle in pairs)
+            seg = per_segment[segment]
+            seg[0] += unmatched_p + far
+            seg[1] += unmatched_r + far
+            seg[2] += len(r)
+
+        errors = 0
+        total_refs = 0
+        for fp, fn, n_refs in per_segment.values():
+            substitutions = min(fp, fn)
+            errors += substitutions + (fn - substitutions) + (fp - substitutions)
+            total_refs += n_refs
+        er_undefined = total_refs == 0
+        er = 0.0 if er_undefined else errors / total_refs
+
+        f1 = _average_f1(per_class, average)
+        le = _average_le(per_class, average, empty_inputs=not per_class)
+        lr = _average_lr(per_class, average)
+        return SeldScores(er, f1, le, lr, er_undefined, dict(per_class))
+
+    return score
 
 
 def format_scores_line(scores: SeldScores) -> str:

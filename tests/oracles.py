@@ -192,3 +192,65 @@ def direct_sum_intensity(bins, smooth=(3, 3)):
     vec[norm < 1e-9] = 0.0
     out[:, usable] = vec.T
     return out
+
+
+# The per-element conversions and loops the scorer and the decoder used
+# before they became whole-array code, kept verbatim (np.dot and
+# np.linalg.norm on single rows) so the array code can be held to their
+# exact bits.
+
+def _scalar_unit_vector(azimuth, elevation):
+    if not -90.0 <= elevation <= 90.0:
+        raise ValueError(f"elevation {elevation} outside [-90, 90]")
+    az = np.deg2rad(azimuth)
+    el = np.deg2rad(elevation)
+    return np.array(
+        [np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), np.sin(el)],
+        dtype=np.float64,
+    )
+
+
+def _scalar_angle(v1, v2):
+    a = np.asarray(v1, dtype=np.float64)
+    b = np.asarray(v2, dtype=np.float64)
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    cos = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
+    return float(np.rad2deg(np.arccos(cos)))
+
+
+def _scalar_doa(vec):
+    v = np.asarray(vec, dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    x, y, z = v / norm
+    elevation = float(np.rad2deg(np.arcsin(np.clip(z, -1.0, 1.0))))
+    if np.hypot(x, y) < 1e-9:
+        return 0.0, elevation
+    azimuth = (float(np.rad2deg(np.arctan2(y, x))) + 180.0) % 360.0 - 180.0
+    return azimuth, elevation
+
+
+def scalar_cost_matrix(pred_doas, ref_doas):
+    """(P, R) angles in degrees, one scalar angle per entry."""
+    return np.array(
+        [
+            [
+                _scalar_angle(_scalar_unit_vector(*p), _scalar_unit_vector(*r))
+                for r in ref_doas
+            ]
+            for p in pred_doas
+        ]
+    )
+
+
+def scalar_decode(tensor, threshold):
+    """[(frame, class, azimuth, elevation)] for cells with norm > threshold,
+    one scalar conversion per cell, sorted by (frame, class)."""
+    arr = np.asarray(tensor, dtype=np.float64)
+    norms = np.linalg.norm(arr, axis=0)
+    events = []
+    for class_id, frame in np.argwhere(norms > threshold):
+        azimuth, elevation = _scalar_doa(arr[:, class_id, frame])
+        events.append((int(frame), int(class_id), azimuth, elevation))
+    events.sort()
+    return events

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import helpers
+import oracles
 from seldkit import (
     Event,
     decode,
@@ -216,6 +217,75 @@ class TestDecode:
                 if previous is not None:
                     assert cells <= previous
                 previous = cells
+
+
+class TestDecodeNonFinite:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])
+    def test_rejected_naming_the_first_cell(self, value):
+        tensor = encode([Event(0, 0, 10.0, 0.0), Event(3, 2, 0.0, 0.0)], 5)
+        tensor[1, 4, 2] = value
+        tensor[0, 1, 4] = value
+        # (frame 2, class 4) comes before (frame 4, class 1)
+        with pytest.raises(SeldkitError, match="class 4 in frame 2"):
+            decode(tensor)
+
+
+class TestDecodeMatchesScalar:
+    """decode reproduces the per-cell scalar conversion bit for bit."""
+
+    def seeded_tensor(self):
+        rng = np.random.default_rng(41)
+        n_classes, n_frames = 13, 300
+        tensor = rng.uniform(-1.0, 1.0, (3, n_classes, n_frames))
+        tensor *= rng.uniform(0.0, 1.2, (1, n_classes, n_frames))
+        special = [
+            (0.0, 0.0, 0.8),            # north pole
+            (0.0, 0.0, -0.8),           # south pole
+            (4e-10, -3e-10, 0.9),       # pole within the 1e-9 tolerance
+            (2e-9, 0.0, 0.9),           # just outside it
+            (-0.8, 0.0, 0.0),           # azimuth +180 wraps to -180
+            (-0.8, -0.0, 0.0),          # azimuth -180
+            (-0.6, 1e-300, 0.1),
+            (np.nextafter(0.5, 1.0), 0.0, 0.0),   # just above 0.5
+            (np.nextafter(0.5, 0.0), 0.0, 0.0),   # just below 0.5
+            (0.5, 0.0, 0.0),            # exactly 0.5, stays silent
+            (0.0, 0.6, 0.0),            # equal norms, different directions
+            (0.0, 0.0, 0.6),
+            (0.6, 0.0, 0.0),
+            (0.3, 0.4, 0.0),            # norm 0.5 from two components
+            (1.0, 1.0, 1.0),
+        ]
+        for k, vec in enumerate(special):
+            tensor[:, k % n_classes, 7 + 11 * k] = vec
+        return tensor
+
+    @staticmethod
+    def hexed(events):
+        return [(f, c, float(a).hex(), float(e).hex()) for f, c, a, e in events]
+
+    @pytest.mark.parametrize("threshold", [1e-9, 0.3, 0.5, 0.7])
+    def test_field_by_field(self, threshold):
+        tensor = self.seeded_tensor()
+        got = [(e.frame, e.class_id, e.azimuth, e.elevation)
+               for e in decode(tensor, threshold)]
+        want = oracles.scalar_decode(tensor, threshold)
+        assert len(got) > 100
+        assert self.hexed(got) == self.hexed(want)
+        assert all(type(v) is float for _, _, *doa in got for v in doa)
+        assert all(type(v) is int for *cell, _, _ in got for v in cell)
+
+    def test_float32_input(self):
+        tensor = self.seeded_tensor().astype(np.float32)
+        got = [(e.frame, e.class_id, e.azimuth, e.elevation)
+               for e in decode(tensor, 0.5)]
+        assert self.hexed(got) == self.hexed(oracles.scalar_decode(tensor, 0.5))
+
+    def test_one_row_inverse_matches_scalar(self):
+        rng = np.random.default_rng(42)
+        for vec in rng.standard_normal((200, 3)):
+            got = unit_vector_to_doa(vec)
+            want = oracles._scalar_doa(vec)
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]
 
 
 class TestEnsembleAverage:

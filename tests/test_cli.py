@@ -6,6 +6,7 @@ is verified against direct library calls on the same inputs.
 """
 
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,48 @@ class TestEncodeDecodeCmd:
         assert rc == 0
         capsys.readouterr()
         assert read_feature_file(tensor).shape == (3, 14, 2)
+
+
+def write_raw_slsa(path, tensor):
+    """An SLSA container written byte by byte, so it can hold the non-finite
+    values write_feature_file refuses."""
+    arr = np.ascontiguousarray(tensor, dtype="<f4")
+    header = b"SLSA" + struct.pack("<II", 1, arr.ndim)
+    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    Path(path).write_bytes(header + arr.tobytes())
+
+
+class TestNonFiniteTensor:
+    """A tensor with an inf or nan cell is an input error: exit 1 with one
+    "error:" line, and no output file."""
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("command", ["decode", "score_sweep", "ensemble_csv"])
+    def test_exit_one(self, tmp_path, capsys, command, value):
+        events = nonempty_events(40)
+        tensor = accdoa.encode(events, 20)
+        tensor[2, 5, 7] = value
+        bad = tmp_path / "bad.slsa"
+        write_raw_slsa(bad, tensor)
+        ref = tmp_path / "ref.csv"
+        write_label_csv(events, ref)
+        out = tmp_path / "out.csv"
+        argv = {
+            "decode": ["decode", str(bad), "--out", str(out)],
+            "score_sweep": ["score", str(bad), str(ref), "--sweep",
+                            "--report", str(out)],
+            "ensemble_csv": ["ensemble", str(bad), "--out",
+                             str(tmp_path / "avg.slsa"), "--csv", str(out)],
+        }[command]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1, captured.err
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert not out.exists()
+        assert not (tmp_path / "avg.slsa").exists()
+        if command != "ensemble_csv":
+            assert "class 5 in frame 7" in captured.err
 
 
 class TestScoreCmd:

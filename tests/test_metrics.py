@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 import helpers
 import oracles
@@ -10,15 +11,18 @@ from seldkit import (
     Event,
     angular_distance,
     compute_seld_scores,
+    decode,
     doa_to_unit_vector,
     encode,
     match_cell,
     segment_events,
     threshold_sweep,
 )
-from seldkit.errors import ZeroVector
+from seldkit.accdoa import _unit_vectors
+from seldkit.errors import ElevationOutOfRange, ZeroVector
 from seldkit.metrics import (
     SeldScores,
+    _angle_matrix,
     format_scores_line,
     format_sweep_table,
     scores_to_csv,
@@ -306,6 +310,82 @@ class TestAgainstBruteForce:
             assert_allclose(got.lr, want["lr"], atol=1e-9)
 
 
+def random_doas(rng, n, clustered=False):
+    if clustered:
+        return [(float(rng.uniform(-40, 40)), float(rng.uniform(-20, 20)))
+                for _ in range(n)]
+    return [(float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90)))
+            for _ in range(n)]
+
+
+class TestArrayCostMatchesScalar:
+    """The array cost matrix and match_cell reproduce the per-entry scalar
+    angles bit for bit, including the 1-row and 1-column shapes where a
+    plain a @ b.T would take a different BLAS path."""
+
+    SHAPES = [(1, 1), (1, 4), (4, 1), (1, 40), (40, 1), (3, 3), (7, 10)]
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_cost_matrix_and_pairs(self, clustered):
+        rng = np.random.default_rng(31 + clustered)
+        shapes = self.SHAPES + [
+            (int(rng.integers(1, 11)), int(rng.integers(1, 11)))
+            for _ in range(40)
+        ]
+        for n_p, n_r in shapes:
+            for _ in range(5):
+                preds = random_doas(rng, n_p, clustered)
+                refs = random_doas(rng, n_r, clustered)
+                want = oracles.scalar_cost_matrix(preds, refs)
+                got = _angle_matrix(_unit_vectors(preds), _unit_vectors(refs))
+                assert np.array_equal(got, want), (n_p, n_r)
+                rows, cols = linear_sum_assignment(want)
+                pairs, up, ur = match_cell(preds, refs)
+                assert pairs == [(int(i), int(j), float(want[i, j]))
+                                 for i, j in zip(rows, cols)]
+                assert (up, ur) == (n_p - len(pairs), n_r - len(pairs))
+
+    def test_one_row_helpers_match_scalar(self):
+        rng = np.random.default_rng(33)
+        for p, r in zip(random_doas(rng, 200), random_doas(rng, 200)):
+            a, b = doa_to_unit_vector(*p), doa_to_unit_vector(*r)
+            assert np.array_equal(a, oracles._scalar_unit_vector(*p))
+            assert angular_distance(a, b) == oracles._scalar_angle(a, b)
+
+
+class TestBoundariesAndTies:
+    def test_twenty_degrees_measures_just_under_the_gate(self):
+        # 20 degrees of azimuth comes out one ulp short of 20.0 and counts
+        # as a location-dependent true positive
+        pairs, _, _ = match_cell([(20.0, 0.0)], [(0.0, 0.0)])
+        assert pairs == [(0, 0, 19.999999999999993)]
+        scores = compute_seld_scores([Event(0, 0, 20.0, 0.0)],
+                                     [Event(0, 0, 0.0, 0.0)])
+        assert (scores.er, scores.f1) == (0.0, 100.0)
+        assert scores.le == 19.999999999999993
+
+    def test_tied_assignment_keeps_the_diagonal(self):
+        got = match_cell([(10, 0), (-10, 0)], [(0, 10), (0, -10)])
+        assert got == (
+            [(0, 0, 14.106044260566337), (1, 1, 14.106044260566337)], 0, 0
+        )
+
+    def test_elevation_out_of_range_in_a_matched_cell(self):
+        with pytest.raises(ElevationOutOfRange):
+            compute_seld_scores([Event(0, 0, 0.0, 91.0)],
+                                [Event(0, 0, 0.0, 0.0)])
+
+    def test_elevation_out_of_range_in_an_unmatched_cell(self):
+        # every DoA of a call is converted up front, so a bad event is
+        # rejected even where it has nothing to be matched against
+        with pytest.raises(ElevationOutOfRange):
+            compute_seld_scores([Event(0, 0, 0.0, 91.0)],
+                                [Event(0, 1, 0.0, 0.0)])
+        with pytest.raises(ElevationOutOfRange):
+            threshold_sweep(encode([Event(0, 0, 0.0, 0.0)], 1),
+                            [Event(0, 1, 0.0, -91.0)])
+
+
 class TestThresholdSweep:
     def test_perfect_tensor_scores_perfectly_everywhere(self):
         rng = np.random.default_rng(7)
@@ -339,6 +419,19 @@ class TestThresholdSweep:
         assert len(rows) == 1
         assert rows[0][0] == 0.9
         assert rows[0][1].f1 == 100.0
+
+    def test_matches_scoring_each_threshold(self):
+        rng = np.random.default_rng(34)
+        refs = helpers.random_events(rng, n_frames=40, max_events=30)
+        tensor = encode(refs, 40) * 0.6 + rng.uniform(-0.3, 0.3, (3, 13, 40))
+        kwargs = {"spatial_threshold": 30.0, "segment_len": 5,
+                  "average": "micro"}
+        thresholds = (0.2, 0.4, 0.6)
+        rows = threshold_sweep(tensor, refs, thresholds, **kwargs)
+        assert rows == [
+            (thr, compute_seld_scores(decode(tensor, thr), refs, **kwargs))
+            for thr in thresholds
+        ]
 
 
 class TestFormatting:
