@@ -45,7 +45,6 @@ from .dataset_io import (
 )
 from .errors import SeldkitError
 from .features import (
-    ComplexSpectrogram,
     NormStats,
     compute_norm_stats,
     eigenvector_intensity,

@@ -95,6 +95,11 @@ def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
     cell can hold at most one event; the representation has no room for two
     same-class sources, so that case is an error rather than a silent merge.
     """
+    if n_frames < 0 or n_classes < 0:
+        raise SeldkitError(
+            f"frame and class counts must be non-negative, got {n_frames} "
+            f"and {n_classes}"
+        )
     tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
     occupied = set()
     for ev in events:
@@ -119,14 +124,14 @@ def decode(tensor, threshold: float = 0.5) -> list:
 
     The comparison is strict, so a threshold of 1.0 silences even exact unit
     vectors. Thresholds below 1e-9 are rejected: shorter vectors have no
-    direction to decode. A tensor holding a cell whose norm is not finite
-    (a nan or inf entry, or one too large to square) is rejected with a
-    SeldkitError naming the first such cell in (frame, class) order, rather
-    than decoded as silence or as a nan direction. Returned events are
-    sorted by (frame, class).
+    direction to decode. So are nan and inf, which no norm exceeds. A
+    tensor holding a cell whose norm is not finite (a nan or inf entry, or
+    one too large to square) is rejected with a SeldkitError naming the
+    first such cell in (frame, class) order, rather than decoded as silence
+    or as a nan direction. Returned events are sorted by (frame, class).
     """
-    if threshold <= 0.0:
-        raise SeldkitError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < np.inf:
+        raise SeldkitError(f"threshold must be positive and finite, got {threshold}")
     if threshold < _EPS_NORM:
         raise SeldkitError(
             f"threshold {threshold} is below {_EPS_NORM:g}, the shortest "

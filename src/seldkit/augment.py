@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -281,16 +281,17 @@ class AugmentConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SeldkitError(f"{name}={value} outside [0, 1]")
-        if self.ps_range < 0 or int(self.ps_range) != self.ps_range:
-            raise SeldkitError(f"ps_range must be a non-negative integer, "
+        # rng.integers draws the shift as an int64
+        if not 0 <= self.ps_range < 2 ** 63 or int(self.ps_range) != self.ps_range:
+            raise SeldkitError(f"ps_range must be an integer in [0, 2^63), "
                                f"got {self.ps_range}")
         if not 0.0 < self.tm_ratio_min <= self.tm_ratio_max < 1.0:
             raise SeldkitError(
                 f"need 0 < tm_ratio_min <= tm_ratio_max < 1, got "
                 f"[{self.tm_ratio_min}, {self.tm_ratio_max}]"
             )
-        if self.mm_beta_alpha <= 0:
-            raise SeldkitError(f"mm_beta_alpha must be positive, "
+        if not 0 < self.mm_beta_alpha < math.inf:
+            raise SeldkitError(f"mm_beta_alpha must be positive and finite, "
                                f"got {self.mm_beta_alpha}")
         if self.mode not in MODES:
             raise SeldkitError(f"mode {self.mode!r} not one of {MODES}")
@@ -300,6 +301,10 @@ CONFIG_FLOAT_KEYS = ("cs_prob", "fs_prob", "tm_prob", "mm_prob",
                       "tm_ratio_min", "tm_ratio_max", "mm_beta_alpha")
 
 DEFAULT_SEED = 17
+
+# each config key parses as the type of its AugmentConfig default
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AugmentConfig)}
+_CONFIG_TYPES["seed"] = int
 
 
 def parse_config_file(path) -> dict:
@@ -327,20 +332,19 @@ def config_from_mapping(mapping) -> tuple:
     default would unseat reproducibility.
     """
     kwargs = {}
-    seed = DEFAULT_SEED
     for key, value in mapping.items():
         if value is None:
             continue
-        if key in CONFIG_FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key == "ps_range":
-            kwargs[key] = int(value)
-        elif key == "mode":
-            kwargs[key] = str(value)
-        elif key == "seed":
-            seed = int(value)
-        else:
+        if key not in _CONFIG_TYPES:
             raise SeldkitError(f"unknown config key {key!r}")
+        kind = _CONFIG_TYPES[key]
+        try:
+            kwargs[key] = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise SeldkitError(
+                f"config key {key!r}: cannot read {value!r} as {kind.__name__}"
+            ) from exc
+    seed = kwargs.pop("seed", DEFAULT_SEED)
     return AugmentConfig(**kwargs), seed
 
 

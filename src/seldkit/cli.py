@@ -245,6 +245,11 @@ def cmd_gradcheck(args) -> int:
     except ValueError as exc:
         raise SeldkitError(f"--shape must be C,F,T integers: {exc}") from exc
     r = args.ratio
+    if min(c, f, t, r, args.seeds) < 1:
+        raise SeldkitError(
+            f"--shape sizes, --ratio and --seeds must be >= 1, got shape "
+            f"{c},{f},{t}, ratio {r}, seeds {args.seeds}"
+        )
     if c % r != 0 or f % r != 0:
         raise SeldkitError(f"ratio {r} must divide both C={c} and F={f}")
 
@@ -269,10 +274,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_ensemble(args) -> int:
     tensors = [read_feature_file(p) for p in args.tensors]
     avg = accdoa.ensemble_average(tensors)
+    events = accdoa.decode(avg, args.threshold) if args.csv else None
     write_feature_file(avg, args.out)
     print(f"wrote {args.out} (mean of {len(tensors)} tensors)")
     if args.csv:
-        write_label_csv(accdoa.decode(avg, args.threshold), args.csv)
+        write_label_csv(events, args.csv)
         print(f"wrote {args.csv}")
     return 0
 

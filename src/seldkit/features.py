@@ -29,15 +29,6 @@ _TRIL_A, _TRIL_B = np.tril_indices(4)
 
 
 @dataclass(frozen=True)
-class ComplexSpectrogram:
-    """Windowed DFT of a clip: bins is (4, window_len/2+1, T) complex."""
-
-    bins: np.ndarray
-    window_len: int = STFT_WINDOW
-    hop: int = STFT_HOP
-
-
-@dataclass(frozen=True)
 class NormStats:
     """Per-(channel, frequency) standardization statistics, shape (C, F)."""
 
@@ -60,10 +51,11 @@ class NormStats:
 
 
 def stft(clip: MultichannelClip, window_len: int = STFT_WINDOW,
-         hop: int = STFT_HOP) -> ComplexSpectrogram:
+         hop: int = STFT_HOP) -> np.ndarray:
     """Hann-windowed DFT per channel, no signal padding.
 
-    Frame t covers samples [t*hop, t*hop + window_len), so
+    Returns the complex (4, window_len/2+1, T) array of bins. Frame t
+    covers samples [t*hop, t*hop + window_len), so
     T = floor((N - window_len)/hop) + 1 and the signal tail that does not
     fill a window is dropped.
     """
@@ -75,19 +67,21 @@ def stft(clip: MultichannelClip, window_len: int = STFT_WINDOW,
     window = hann(window_len, sym=False)
     frames = sliding_window_view(samples, window_len, axis=1)[:, ::hop]
     spec = np.fft.rfft(frames * window, axis=2)
-    return ComplexSpectrogram(spec.transpose(0, 2, 1), window_len, hop)
+    return spec.transpose(0, 2, 1)
 
 
 def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS,
                            floor: float = SPEC_FLOOR) -> np.ndarray:
-    """ln of floored power per bin, keeping the lowest n_bins bins."""
-    bins = _spec_bins(spec)[:, :n_bins, :]
+    """ln of floored power per bin of a stft array, keeping the lowest
+    n_bins bins."""
+    bins = np.asarray(spec)[:, :n_bins, :]
     return np.log(np.maximum(np.abs(bins) ** 2, floor))
 
 
 def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
                           smooth: tuple = (3, 3)) -> np.ndarray:
-    """Direction estimate per TF bin from the smoothed spatial covariance.
+    """Direction estimate per TF bin of a stft array from the smoothed
+    spatial covariance.
 
     For each retained (f, t): average x*x^H over a smooth = (freq, time)
     neighborhood (clipped at the edges, so corner cells average fewer
@@ -110,7 +104,7 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     size_f, size_t = smooth
     if size_f < 1 or size_t < 1:
         raise SeldkitError(f"smoothing window must be positive, got {smooth}")
-    x = _spec_bins(spec)[:, :n_bins, :]
+    x = np.asarray(spec)[:, :n_bins, :]
     n_f, n_t = x.shape[1:]
     f_before, f_after = (size_f - 1) // 2, size_f // 2
     t_before, t_after = (size_t - 1) // 2, size_t // 2
@@ -216,12 +210,6 @@ def load_norm_stats(path) -> NormStats:
     if arr.ndim != 3 or arr.shape[0] != 2:
         raise ShapeMismatch(f"{path}: expected (2, C, F) stats, got {arr.shape}")
     return NormStats(arr[0], arr[1])
-
-
-def _spec_bins(spec) -> np.ndarray:
-    if isinstance(spec, ComplexSpectrogram):
-        return spec.bins
-    return np.asarray(spec)
 
 
 def _box_sum(arr: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:

@@ -4,11 +4,14 @@ Events are pooled into 1-second segments (10 label frames). Within each
 (segment, class) cell, predicted and reference DoAs are paired by a
 minimum-total-angle assignment; pairs under the 20 degree threshold are
 location-dependent true positives, pairs at or beyond it count one FP and
-one FN each (a substitution). The error rate ER is micro-averaged over
-segments; F1, localization error LE, and localization recall LR aggregate
-per class (macro by default, micro available). LE and LR ignore the 20
-degree gate: they score every matched pair, which is what makes them
-class-dependent rather than location-dependent.
+one FN each (a substitution). The error rate ER sums max(FP, FN) over
+segments and divides by the reference count. F1, localization error LE
+and localization recall LR are each a per-class ratio (2TP / (2TP + FP +
+FN), angle sum / matched pairs, matched pairs / references) under one
+averaging rule: macro (the default) takes the mean of the class ratios,
+micro the ratio of the class sums. LE and LR ignore the 20 degree gate:
+they score every matched pair, which is what makes them class-dependent
+rather than location-dependent.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
     def score(preds) -> SeldScores:
         pred_cells = _vector_cells(preds, segment_len)
         per_class = defaultdict(ClassCounts)
-        per_segment = defaultdict(lambda: [0, 0, 0])  # fp, fn, n_refs
+        per_segment = defaultdict(lambda: [0, 0])  # fp, fn
         for cell in set(pred_cells) | set(ref_cells):
             segment, class_id = cell
             p = pred_cells.get(cell, _NO_VECTORS)
@@ -183,20 +186,23 @@ def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
             seg = per_segment[segment]
             seg[0] += unmatched_p + far
             seg[1] += unmatched_r + far
-            seg[2] += len(r)
 
-        errors = 0
-        total_refs = 0
-        for fp, fn, n_refs in per_segment.values():
-            substitutions = min(fp, fn)
-            errors += substitutions + (fn - substitutions) + (fp - substitutions)
-            total_refs += n_refs
+        # per segment, S = min(fp, fn) substitutions, fn - S deletions and
+        # fp - S insertions add up to max(fp, fn) errors
+        errors = sum(max(fp, fn) for fp, fn in per_segment.values())
+        classes = per_class.values()
+        total_refs = sum(c.n_refs for c in classes)
         er_undefined = total_refs == 0
         er = 0.0 if er_undefined else errors / total_refs
-
-        f1 = _average_f1(per_class, average)
-        le = _average_le(per_class, average, empty_inputs=not per_class)
-        lr = _average_lr(per_class, average)
+        f1 = _average([2 * c.tp for c in classes],
+                      [2 * c.tp + c.fp + c.fn for c in classes],
+                      average, 100.0, empty=100.0)
+        le = _average([c.angle_sum for c in classes],
+                      [c.n_matched for c in classes],
+                      average, 1.0, empty=180.0 if per_class else 0.0)
+        lr = _average([c.n_matched for c in classes],
+                      [c.n_refs for c in classes],
+                      average, 100.0, empty=100.0)
         return SeldScores(er, f1, le, lr, er_undefined, dict(per_class))
 
     return score
@@ -239,39 +245,18 @@ def scores_to_csv(scores: SeldScores) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _average_f1(per_class, average: str) -> float:
+def _average(nums, dens, average: str, scale: float, empty: float) -> float:
+    """scale * num/den per class, aggregated over the classes with den > 0.
+
+    micro takes the ratio of the summed numerators and denominators, macro
+    the mean of the per-class ratios; empty is returned when no class has
+    a denominator. The micro sums use Python's sum() in class order, and
+    scale multiplies the summed numerator before the division: np.sum's
+    pairwise order, or scaling the quotient, rounds differently, and the
+    reported scores are pinned to these bits.
+    """
     if average == "micro":
-        tp = sum(c.tp for c in per_class.values())
-        fp = sum(c.fp for c in per_class.values())
-        fn = sum(c.fn for c in per_class.values())
-        return 100.0 if 2 * tp + fp + fn == 0 else 200.0 * tp / (2 * tp + fp + fn)
-    shares = [
-        2.0 * c.tp / (2 * c.tp + c.fp + c.fn)
-        for c in per_class.values()
-        if c.tp + c.fp + c.fn > 0
-    ]
-    return 100.0 * float(np.mean(shares)) if shares else 100.0
-
-
-def _average_le(per_class, average: str, empty_inputs: bool) -> float:
-    if average == "micro":
-        matched = sum(c.n_matched for c in per_class.values())
-        if matched == 0:
-            return 0.0 if empty_inputs else 180.0
-        return sum(c.angle_sum for c in per_class.values()) / matched
-    shares = [
-        c.angle_sum / c.n_matched for c in per_class.values() if c.n_matched > 0
-    ]
-    if not shares:
-        return 0.0 if empty_inputs else 180.0
-    return float(np.mean(shares))
-
-
-def _average_lr(per_class, average: str) -> float:
-    if average == "micro":
-        refs = sum(c.n_refs for c in per_class.values())
-        if refs == 0:
-            return 100.0
-        return 100.0 * sum(c.n_matched for c in per_class.values()) / refs
-    shares = [c.n_matched / c.n_refs for c in per_class.values() if c.n_refs > 0]
-    return 100.0 * float(np.mean(shares)) if shares else 100.0
+        den = sum(dens)
+        return scale * sum(nums) / den if den else empty
+    shares = [num / den for num, den in zip(nums, dens) if den]
+    return scale * float(np.mean(shares)) if shares else empty

@@ -515,6 +515,23 @@ class TestAugmentConfig:
         with pytest.raises(Exception):
             AugmentConfig().cs_prob = 0.9
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_non_finite_beta_alpha_rejected(self, alpha):
+        with pytest.raises(SeldkitError, match="mm_beta_alpha must be positive and finite"):
+            AugmentConfig(mm_beta_alpha=alpha)
+
+    @pytest.mark.parametrize("ps_range", [2 ** 63, 10 ** 20, float("inf"), float("nan")])
+    def test_ps_range_beyond_int64_rejected(self, ps_range):
+        with pytest.raises(SeldkitError, match=r"ps_range must be an integer in \[0, 2\^63\)"):
+            AugmentConfig(ps_range=ps_range)
+
+    def test_largest_ps_range_can_be_sampled(self):
+        config = identity_config(ps_range=2 ** 63 - 1)
+        feats, labs = make_sample(40)
+        out_f, out_l = augment_pipeline((feats, labs), None, config, make_rng(0))
+        assert out_f.shape == feats.shape
+        assert_array_equal(out_l, labs)
+
 
 class TestConfigParsing:
     def test_parse_file(self, tmp_path):
@@ -564,6 +581,29 @@ class TestConfigParsing:
         config, seed = config_from_mapping({"cs_prob": None, "seed": "3"})
         assert config.cs_prob == 0.5
         assert seed == 3
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("cs_prob", "abc", "float"),
+        ("tm_ratio_max", "", "float"),
+        ("ps_range", "2.5", "int"),
+        ("seed", "1.5", "int"),
+    ])
+    def test_unreadable_value_names_key_and_value(self, key, value, kind):
+        with pytest.raises(SeldkitError) as info:
+            config_from_mapping({key: value})
+        assert str(info.value) == f"config key {key!r}: cannot read {value!r} as {kind}"
+
+    def test_each_key_parses_as_its_default_type(self):
+        config, seed = config_from_mapping({
+            "cs_prob": "1", "ps_range": "3", "tm_ratio_min": "0.06",
+            "mm_beta_alpha": "2", "mode": "tm_mm", "seed": "5",
+        })
+        assert type(config.cs_prob) is float and config.cs_prob == 1.0
+        assert type(config.ps_range) is int and config.ps_range == 3
+        assert config.tm_ratio_min == 0.06
+        assert type(config.mm_beta_alpha) is float
+        assert config.mode == "tm_mm"
+        assert type(seed) is int and seed == 5
 
 
 def identity_config(**overrides):

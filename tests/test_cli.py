@@ -531,6 +531,29 @@ class TestAugmentCmd:
         assert rc == 1
         assert "cs_probb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "cs_prob = abc",
+        "ps_range = 2.5",
+        "seed = 1.5",
+        "ps_range = 100000000000000000000",
+        "mm_beta_alpha = inf",
+    ])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, line):
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=17)
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        rc = cli.main(["augment", "--features", str(f_in),
+                       "--labels", str(l_in),
+                       "--out-features", str(tmp_path / "of.slsa"),
+                       "--out-labels", str(tmp_path / "ol.slsa"),
+                       "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        key, _, value = line.partition(" = ")
+        assert key in err and value in err
+        assert not (tmp_path / "of.slsa").exists()
+
 
 class TestGradcheckCmd:
     def test_default_run_passes(self, capsys):
@@ -570,6 +593,43 @@ class TestGradcheckCmd:
         rc = cli.main(["gradcheck", "--eps", "0", "--seeds", "1"])
         assert rc == 1
         capsys.readouterr()
+
+
+class TestNumericFlags:
+    """A numeric flag outside its domain is an input error: exit 1 with one
+    "error:" line and no output file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decode", "{t}", "--threshold", "nan", "--out", "{out}"], "threshold"),
+        (["decode", "{t}", "--threshold", "inf", "--out", "{out}"], "threshold"),
+        (["ensemble", "{t}", "--out", "{avg}", "--threshold", "nan",
+          "--csv", "{out}"], "threshold"),
+        (["encode", "{ref}", "--frames", "-1", "--out", "{out}"], "non-negative"),
+        (["encode", "{empty}", "--frames", "5", "--classes", "-1",
+          "--out", "{out}"], "non-negative"),
+        (["gradcheck", "--ratio", "0"], ">= 1"),
+        (["gradcheck", "--seeds", "0"], ">= 1"),
+        (["gradcheck", "--seeds", "-1"], ">= 1"),
+        (["gradcheck", "--shape", "4,6,0"], ">= 1"),
+    ], ids=["decode_nan", "decode_inf", "ensemble_csv_nan", "encode_frames",
+            "encode_classes", "gradcheck_ratio", "gradcheck_seeds_0",
+            "gradcheck_seeds_neg", "gradcheck_shape"])
+    def test_exit_one(self, tmp_path, capsys, argv, message):
+        events = nonempty_events(41)
+        paths = {"t": tmp_path / "t.slsa", "ref": tmp_path / "ref.csv",
+                 "empty": tmp_path / "empty.csv", "out": tmp_path / "out",
+                 "avg": tmp_path / "avg.slsa"}
+        write_feature_file(accdoa.encode(events, 20), paths["t"])
+        write_label_csv(events, paths["ref"])
+        paths["empty"].write_text("", encoding="utf-8")
+        rc = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1, captured.err
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert message in captured.err
+        assert captured.out == ""
+        assert not paths["out"].exists() and not paths["avg"].exists()
 
 
 class TestEnsembleCmd:

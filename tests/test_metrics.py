@@ -278,13 +278,15 @@ class TestAgainstBruteForce:
         for _ in range(60):
             preds = helpers.random_events(rng, n_frames=30, n_classes=5)
             refs = helpers.random_events(rng, n_frames=30, n_classes=5)
-            got = compute_seld_scores(preds, refs)
-            want = oracles.brute_force_seld_scores(preds, refs)
-            assert_allclose(got.er, want["er"], atol=1e-12)
-            assert_allclose(got.f1, want["f1"], atol=1e-9)
-            assert_allclose(got.le, want["le"], atol=1e-9)
-            assert_allclose(got.lr, want["lr"], atol=1e-9)
-            assert got.er_undefined == want["er_undefined"]
+            for average in ("macro", "micro"):
+                got = compute_seld_scores(preds, refs, average=average)
+                want = oracles.brute_force_seld_scores(preds, refs,
+                                                       average=average)
+                assert_allclose(got.er, want["er"], atol=1e-12)
+                assert_allclose(got.f1, want["f1"], atol=1e-9)
+                assert_allclose(got.le, want["le"], atol=1e-9)
+                assert_allclose(got.lr, want["lr"], atol=1e-9)
+                assert got.er_undefined == want["er_undefined"]
 
     def test_clustered_scenes_stress_the_assignment(self):
         rng = np.random.default_rng(6)
@@ -308,6 +310,35 @@ class TestAgainstBruteForce:
             assert_allclose(got.f1, want["f1"], atol=1e-9)
             assert_allclose(got.le, want["le"], atol=1e-9)
             assert_allclose(got.lr, want["lr"], atol=1e-9)
+
+
+class TestOneAveragingRule:
+    """F1, LE and LR equal, bit for bit, what the three separate macro/micro
+    functions they replaced (kept in oracles) give on the same tallies."""
+
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_seeded_scenes(self, average):
+        rng = np.random.default_rng(11)
+        for n_classes in range(1, 14):
+            for _ in range(6):
+                n_frames = int(rng.integers(10, 80))
+                preds = helpers.random_events(rng, n_frames, n_classes, max_events=120)
+                refs = helpers.random_events(rng, n_frames, n_classes, max_events=120)
+                for p, r in ((preds, refs), (preds, []), ([], refs), ([], [])):
+                    got = compute_seld_scores(p, r, average=average)
+                    want = oracles.separate_averages(got.per_class, average)
+                    assert (got.f1, got.le, got.lr) == want
+
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_er_is_pooled_max_of_fp_and_fn(self, average):
+        # segment 0: one substitution and one miss (fp 1, fn 2); segment 1:
+        # one miss and two insertions (fp 2, fn 1); 3 references in all
+        refs = [Event(0, 0, 0.0, 0.0), Event(1, 1, 0.0, 0.0)]
+        refs.append(Event(12, 2, 90.0, 0.0))
+        preds = [Event(0, 0, 90.0, 0.0), Event(13, 3, 0.0, 0.0),
+                 Event(14, 4, 0.0, 0.0)]
+        scores = compute_seld_scores(preds, refs, average=average)
+        assert scores.er == (2 + 2) / 3
 
 
 def random_doas(rng, n, clustered=False):
