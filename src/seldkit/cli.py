@@ -131,10 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_extract(args) -> int:
     manifest = read_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.threads < 1:
         raise SeldkitError(f"--threads must be >= 1, got {args.threads}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def extract_one(entry):
         return features.salsa(read_foa_wav(entry.audio_path))

@@ -9,7 +9,10 @@ frequency bin gets a gate recomputed independently for every time frame.
 The multi-dimensional block runs frequency first, then channel. Everything
 here is float64 so the central-difference checks in gradcheck are
 meaningful; the backward pass is the exact gradient of the forward,
-including the paths through the squeeze means and the gates.
+including the paths through the squeeze means and the gates. Each backward
+runs the forward once and reads its intermediates (means, hidden
+activations, gates) from the forward's cache, so every squeeze and
+bottleneck is computed once per call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .dataset_io import read_feature_file, write_feature_file
 from .errors import SeldkitError, ShapeMismatch
 
 
@@ -96,33 +98,14 @@ _SQUEEZE_AXES = {"channel": (1, 2), "freq": (0,)}
 def se_forward(x, p: SeParams, which: str) -> np.ndarray:
     """Gate x by an excitation of its means over the axes that variant
     `which` ("channel" or "freq") squeezes."""
-    x = _as_tensor3(x)
-    gate_shape, _, _, _, s = _squeeze_excite(x, p, which)
-    return s.reshape(gate_shape) * x
+    return _se(_as_tensor3(x), p, which)[0]
 
 
 def se_backward(x, p: SeParams, grad_y, which: str) -> tuple:
     """Exact gradients of se_forward: (grad_x, parameter gradients)."""
-    axes = _squeeze_axes(which)
     x = _as_tensor3(x)
-    grad_y = _as_tensor3(grad_y)
-    if grad_y.shape != x.shape:
-        raise ShapeMismatch(f"grad shape {grad_y.shape} != input {x.shape}")
-    gate_shape, z, a1, h, s = _squeeze_excite(x, p, which)
-
-    grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)
-    grad_a2 = grad_s * s * (1.0 - s)
-    grad_w2 = grad_a2 @ h.T
-    grad_h = p.w2.T @ grad_a2
-    grad_a1 = grad_h * (a1 > 0)
-    grad_w1 = grad_a1 @ z.T
-    grad_z = p.w1.T @ grad_a1
-
-    n_squeezed = x.size // s.size
-    grad_x = (s.reshape(gate_shape) * grad_y
-              + grad_z.reshape(gate_shape) / n_squeezed)
-    return grad_x, SeParams(grad_w1, grad_a1.sum(axis=1),
-                            grad_w2, grad_a2.sum(axis=1))
+    grad_y = _as_grad(grad_y, x)
+    return _se_grad(_se(x, p, which)[1], p, grad_y)
 
 
 channel_se_forward = partial(se_forward, which="channel")
@@ -138,9 +121,14 @@ def multi_dim_se_forward(x, p_freq: SeParams, p_chan: SeParams) -> np.ndarray:
 
 def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
                           grad_y) -> tuple:
-    inner = freq_se_forward(x, p_freq)
-    grad_inner, grad_p_chan = channel_se_backward(inner, p_chan, grad_y)
-    grad_x, grad_p_freq = freq_se_backward(x, p_freq, grad_inner)
+    """Exact gradients of multi_dim_se_forward: (grad_x, frequency
+    parameter gradients, channel parameter gradients)."""
+    x = _as_tensor3(x)
+    grad_y = _as_grad(grad_y, x)
+    inner, freq_cache = _se(x, p_freq, "freq")
+    chan_cache = _se(inner, p_chan, "channel")[1]
+    grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y)
+    grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner)
     return grad_x, grad_p_freq, grad_p_chan
 
 
@@ -221,45 +209,6 @@ def gradcheck_params(rng, block: str, shape, r: int) -> tuple:
     )
 
 
-channel_gradcheck_ops = partial(gradcheck_ops, "channel")
-freq_gradcheck_ops = partial(gradcheck_ops, "freq")
-multi_gradcheck_ops = partial(gradcheck_ops, "multi")
-
-
-def save_se_params(p: SeParams, path) -> None:
-    """Serialize as one flat vector: [d, d/r, w1..., b1..., w2..., b2...].
-
-    The container payload is float32; reloaded parameters are the float32
-    rounding of the originals.
-    """
-    hidden = p.b1.shape[0]
-    flat = np.concatenate(
-        [[float(p.d), float(hidden)], p.w1.ravel(), p.b1, p.w2.ravel(), p.b2]
-    )
-    write_feature_file(flat, path)
-
-
-def load_se_params(path) -> SeParams:
-    flat = np.asarray(read_feature_file(path), dtype=np.float64)
-    if flat.ndim != 1 or flat.size < 2:
-        raise ShapeMismatch(f"{path}: not a serialized parameter vector")
-    d, hidden = int(flat[0]), int(flat[1])
-    expected = 2 + 2 * d * hidden + hidden + d
-    if d <= 0 or hidden <= 0 or flat.size != expected:
-        raise ShapeMismatch(
-            f"{path}: vector of {flat.size} entries does not hold "
-            f"d={d}, d/r={hidden} parameters"
-        )
-    cursor = 2
-    w1 = flat[cursor:cursor + hidden * d].reshape(hidden, d)
-    cursor += hidden * d
-    b1 = flat[cursor:cursor + hidden]
-    cursor += hidden
-    w2 = flat[cursor:cursor + d * hidden].reshape(d, hidden)
-    cursor += d * hidden
-    return SeParams(w1, b1, w2, flat[cursor:])
-
-
 def _hidden_size(d: int, r: int) -> int:
     if r < 1 or d < 1 or d % r != 0:
         raise SeldkitError(f"reduction ratio {r} does not divide d={d}")
@@ -277,9 +226,11 @@ def _gated_axis(which: str) -> int:
     return min(set(range(3)) - set(_squeeze_axes(which)))
 
 
-def _squeeze_excite(x, p: SeParams, which: str) -> tuple:
-    """Squeeze x to (d, m) means z and run the bottleneck on them: returns
-    the shape that lifts (d, m) back onto x, z, a1, h and the gates s."""
+def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
+    """Squeeze the float64 (C, F, T) x to (d, m) means z, run the
+    bottleneck on them and gate x by the result: returns y and the cache
+    _se_grad reads (x, the squeezed axes, the shape that lifts (d, m) back
+    onto x, z, a1, h and the gates s)."""
     axes = _squeeze_axes(which)
     gated = _gated_axis(which)
     if p.d != x.shape[gated]:
@@ -291,7 +242,26 @@ def _squeeze_excite(x, p: SeParams, which: str) -> tuple:
     a1 = p.w1 @ z + p.b1[:, None]
     h = np.maximum(a1, 0.0)
     s = expit(p.w2 @ h + p.b2[:, None])
-    return gate_shape, z, a1, h, s
+    return s.reshape(gate_shape) * x, (x, axes, gate_shape, z, a1, h, s)
+
+
+def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray) -> tuple:
+    """Exact gradients of _se's y from its cache and a float64 grad_y of
+    x's shape: (grad_x, parameter gradients)."""
+    x, axes, gate_shape, z, a1, h, s = cache
+    grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)
+    grad_a2 = grad_s * s * (1.0 - s)
+    grad_w2 = grad_a2 @ h.T
+    grad_h = p.w2.T @ grad_a2
+    grad_a1 = grad_h * (a1 > 0)
+    grad_w1 = grad_a1 @ z.T
+    grad_z = p.w1.T @ grad_a1
+
+    n_squeezed = x.size // s.size
+    grad_x = (s.reshape(gate_shape) * grad_y
+              + grad_z.reshape(gate_shape) / n_squeezed)
+    return grad_x, SeParams(grad_w1, grad_a1.sum(axis=1),
+                            grad_w2, grad_a2.sum(axis=1))
 
 
 def _as_tensor3(x) -> np.ndarray:
@@ -299,3 +269,10 @@ def _as_tensor3(x) -> np.ndarray:
     if arr.ndim != 3:
         raise ShapeMismatch(f"expected a (C, F, T) tensor, got shape {arr.shape}")
     return arr
+
+
+def _as_grad(grad_y, x: np.ndarray) -> np.ndarray:
+    grad_y = _as_tensor3(grad_y)
+    if grad_y.shape != x.shape:
+        raise ShapeMismatch(f"grad shape {grad_y.shape} != input {x.shape}")
+    return grad_y

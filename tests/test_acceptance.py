@@ -36,13 +36,11 @@ from seldkit import (
 )
 from seldkit.dataset_io import read_feature_file, write_label_csv
 from seldkit.se_block import (
-    channel_gradcheck_ops,
     channel_se_forward,
-    freq_gradcheck_ops,
     freq_se_forward,
     gradcheck,
+    gradcheck_ops,
     multi_dim_se_forward,
-    multi_gradcheck_ops,
     random_params,
 )
 
@@ -125,9 +123,9 @@ class TestAcceptance:
     def test_3_se_gradients(self, capsys):
         with criterion(capsys, 3, "gating gradients verified numerically", 60.0):
             ops = {
-                "channel": channel_gradcheck_ops(),
-                "freq": freq_gradcheck_ops(),
-                "multi": multi_gradcheck_ops(),
+                "channel": gradcheck_ops("channel"),
+                "freq": gradcheck_ops("freq"),
+                "multi": gradcheck_ops("multi"),
             }
             # reduction ratios restricted to divisors of the pooled axis
             grid = (

@@ -354,6 +354,7 @@ class TestExtractCmd:
                        "--threads", "0"])
         assert rc == 1
         assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAugmentCmd:

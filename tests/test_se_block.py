@@ -22,17 +22,14 @@ from seldkit import (
     se_backward,
     zero_params,
 )
+from seldkit import se_block
 from seldkit.errors import SeldkitError, ShapeMismatch
 from seldkit.se_block import (
-    channel_gradcheck_ops,
     channel_se_backward,
-    freq_gradcheck_ops,
     freq_se_backward,
-    load_se_params,
+    gradcheck_ops,
     multi_dim_se_backward,
-    multi_gradcheck_ops,
     random_params,
-    save_se_params,
 )
 
 
@@ -258,10 +255,16 @@ class TestBackwardBasics:
             channel_se_backward(x, zero_params(4, 2), np.zeros((4, 3, 3)))
         with pytest.raises(ShapeMismatch):
             freq_se_backward(x, zero_params(3, 3), np.zeros((4, 3, 3)))
+        # the gradient is checked before any forward work, so the
+        # frequency params' wrong d (4 for F = 3) is never reached
+        with pytest.raises(ShapeMismatch, match="grad shape"):
+            multi_dim_se_backward(x, zero_params(4, 2), zero_params(4, 2),
+                                  np.zeros((4, 3, 3)))
 
-    def test_multi_backward_chains_both_blocks(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_multi_backward_chains_both_blocks(self, dtype):
         rng = rng_for(19)
-        x = rng.standard_normal((4, 6, 5))
+        x = rng.standard_normal((4, 6, 5)).astype(dtype)
         p_freq = random_params(rng, 6, 2)
         p_chan = random_params(rng, 4, 2)
         grad_y = rng.standard_normal(x.shape)
@@ -275,16 +278,29 @@ class TestBackwardBasics:
         for a, b in zip(gp_chan.as_arrays(), expect_chan.as_arrays()):
             assert_array_equal(a, b)
 
+    def test_multi_backward_excites_each_variant_once(self, monkeypatch):
+        # the backward reads the forward's cached gates, so each bottleneck
+        # ends in exactly one sigmoid: (6, 5) for frequency, (4, 1) for channel
+        shapes = []
+        expit = se_block.expit
+        monkeypatch.setattr(se_block, "expit",
+                            lambda a: shapes.append(a.shape) or expit(a))
+        rng = rng_for(25)
+        x = rng.standard_normal((4, 6, 5))
+        multi_dim_se_backward(x, random_params(rng, 6, 2),
+                              random_params(rng, 4, 2), x)
+        assert sorted(shapes) == [(4, 1), (6, 5)]
+
 
 class TestGradcheck:
     def test_zero_params_pass(self):
         rng = rng_for(20)
         x = rng.standard_normal((4, 6, 5))
-        fwd, bwd = channel_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("channel")
         assert gradcheck(fwd, bwd, x, zero_params(4, 2).as_arrays()) < 1e-6
-        fwd, bwd = freq_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("freq")
         assert gradcheck(fwd, bwd, x, zero_params(6, 2).as_arrays()) < 1e-6
-        fwd, bwd = multi_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("multi")
         params = zero_params(6, 2).as_arrays() + zero_params(4, 2).as_arrays()
         assert gradcheck(fwd, bwd, x, params) < 1e-6
 
@@ -313,7 +329,7 @@ class TestGradcheck:
             x = rng.standard_normal((4, 6, 5))
             for r in (2, 4):
                 p = random_params(rng, 4, r)
-                fwd, bwd = channel_gradcheck_ops()
+                fwd, bwd = gradcheck_ops("channel")
                 assert gradcheck(fwd, bwd, x, p.as_arrays()) < 1e-6
 
     def test_random_params_freq(self):
@@ -322,7 +338,7 @@ class TestGradcheck:
             x = rng.standard_normal((3, 8, 4))
             for r in (2, 4):
                 p = random_params(rng, 8, r)
-                fwd, bwd = freq_gradcheck_ops()
+                fwd, bwd = gradcheck_ops("freq")
                 assert gradcheck(fwd, bwd, x, p.as_arrays()) < 1e-6
 
     def test_random_params_multi(self):
@@ -331,7 +347,7 @@ class TestGradcheck:
             x = rng.standard_normal((4, 6, 5))
             params = (random_params(rng, 6, 2).as_arrays()
                       + random_params(rng, 4, 2).as_arrays())
-            fwd, bwd = multi_gradcheck_ops()
+            fwd, bwd = gradcheck_ops("multi")
             assert gradcheck(fwd, bwd, x, params) < 1e-6
 
     def test_twenty_seed_property(self):
@@ -341,9 +357,9 @@ class TestGradcheck:
         eps = 5e-5
         shapes = {"channel": ((4, 6, 5), 4), "freq": ((3, 8, 4), 4),
                   "multi": ((4, 6, 5), 2)}
-        ops = {"channel": channel_gradcheck_ops(),
-               "freq": freq_gradcheck_ops(),
-               "multi": multi_gradcheck_ops()}
+        ops = {"channel": gradcheck_ops("channel"),
+               "freq": gradcheck_ops("freq"),
+               "multi": gradcheck_ops("multi")}
         for name, ((c, f, t), r) in shapes.items():
             fwd, bwd = ops[name]
             for seed in range(800, 820):
@@ -362,7 +378,7 @@ class TestGradcheck:
         rng = rng_for(21)
         x = rng.standard_normal((4, 6, 5))
         p = random_params(rng, 4, 2)
-        fwd, bwd = channel_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("channel")
 
         def broken_bwd(x_in, params, grad_y):
             grad_x, grad_p = bwd(x_in, params, grad_y)
@@ -377,14 +393,14 @@ class TestGradcheck:
         p = random_params(rng, 4, 2)
         arrays = p.as_arrays()
         copies = tuple(a.copy() for a in arrays)
-        fwd, bwd = channel_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("channel")
         gradcheck(fwd, bwd, x, arrays)
         assert_array_equal(x, x_copy)
         for a, b in zip(arrays, copies):
             assert_array_equal(a, b)
 
     def test_eps_validation(self):
-        fwd, bwd = channel_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("channel")
         x = np.zeros((2, 2, 2))
         params = zero_params(2, 2).as_arrays()
         with pytest.raises(SeldkitError):
@@ -393,7 +409,7 @@ class TestGradcheck:
             gradcheck(fwd, bwd, x, params, eps=1e-2)
 
     def test_wrong_gradient_shape_rejected(self):
-        fwd, bwd = channel_gradcheck_ops()
+        fwd, bwd = gradcheck_ops("channel")
 
         def transposing_bwd(x_in, params, grad_y):
             grad_x, grad_p = bwd(x_in, params, grad_y)
@@ -403,30 +419,3 @@ class TestGradcheck:
         with pytest.raises(ShapeMismatch):
             gradcheck(fwd, transposing_bwd, x, zero_params(4, 2).as_arrays())
 
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        rng = rng_for(23)
-        p = random_params(rng, 6, 3)
-        p = SeParams(*(a.astype(np.float32).astype(np.float64)
-                       for a in p.as_arrays()))
-        path = tmp_path / "se.slsa"
-        save_se_params(p, path)
-        loaded = load_se_params(path)
-        for a, b in zip(loaded.as_arrays(), p.as_arrays()):
-            assert_array_equal(a, b)
-        assert loaded.d == 6
-
-    def test_wrong_payload_rejected(self, tmp_path):
-        from seldkit import write_feature_file
-
-        path = tmp_path / "bad.slsa"
-        write_feature_file(np.zeros((2, 3)), path)
-        with pytest.raises(ShapeMismatch):
-            load_se_params(path)
-        write_feature_file(np.array([4.0, 2.0, 1.0]), path)
-        with pytest.raises(ShapeMismatch):
-            load_se_params(path)
-        write_feature_file(np.array([0.0, 0.0]), path)
-        with pytest.raises(ShapeMismatch):
-            load_se_params(path)
