@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset_io import N_CLASSES, Event, normalize_azimuth
+from .dataset_io import N_CLASSES, _as_events, normalize_azimuth
 from .errors import (
     ClassOutOfRange,
     ElevationOutOfRange,
@@ -130,6 +130,11 @@ def decode(tensor, threshold: float = 0.5) -> list:
     first such cell in (frame, class) order, rather than decoded as silence
     or as a nan direction. Returned events are sorted by (frame, class).
     """
+    return _as_events(_decode_columns(tensor, threshold))
+
+
+def _decode_columns(tensor, threshold: float = 0.5) -> tuple:
+    """decode as (frame, class_id, azimuth, elevation) columns."""
     if not 0.0 < threshold < np.inf:
         raise SeldkitError(f"threshold must be positive and finite, got {threshold}")
     if threshold < _EPS_NORM:
@@ -150,12 +155,7 @@ def decode(tensor, threshold: float = 0.5) -> list:
             "non-finite norm"
         )
     frames, classes = np.nonzero(norms > threshold)
-    azimuths, elevations = _directions(arr[:, classes, frames].T)
-    return [
-        Event(*cell)
-        for cell in zip(frames.tolist(), classes.tolist(),
-                        azimuths.tolist(), elevations.tolist())
-    ]
+    return (frames, classes, *_directions(arr[:, classes, frames].T))
 
 
 def ensemble_average(tensors) -> np.ndarray:

@@ -18,6 +18,8 @@ from . import accdoa, augment, features, metrics, se_block
 from .dataset_io import (
     N_CLASSES,
     _atomic_write_bytes,
+    _read_label_columns,
+    _write_label_columns,
     read_feature_file,
     read_foa_wav,
     read_label_csv,
@@ -218,9 +220,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    refs = read_label_csv(args.ref)
+    refs = _read_label_columns(args.ref)
     if args.sweep:
-        rows = metrics.threshold_sweep(
+        rows = metrics._threshold_sweep(
             read_feature_file(args.pred), refs, average=args.average
         )
         print(metrics.format_sweep_table(rows))
@@ -230,9 +232,8 @@ def cmd_score(args) -> int:
                 lines.append(f"{thr},{s.er:.6f},{s.f1:.6f},{s.le:.6f},{s.lr:.6f}")
             _atomic_write_bytes(args.report, ("\n".join(lines) + "\n").encode("utf-8"))
         return 0
-    scores = metrics.compute_seld_scores(
-        read_label_csv(args.pred), refs, average=args.average
-    )
+    score = metrics._reference_scorer(refs, average=args.average)
+    scores = score(_read_label_columns(args.pred))
     print(metrics.format_scores_line(scores))
     if args.report:
         _atomic_write_bytes(args.report, metrics.scores_to_csv(scores).encode("utf-8"))
@@ -274,11 +275,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_ensemble(args) -> int:
     tensors = [read_feature_file(p) for p in args.tensors]
     avg = accdoa.ensemble_average(tensors)
-    events = accdoa.decode(avg, args.threshold) if args.csv else None
+    events = accdoa._decode_columns(avg, args.threshold) if args.csv else None
     write_feature_file(avg, args.out)
     print(f"wrote {args.out} (mean of {len(tensors)} tensors)")
     if args.csv:
-        write_label_csv(events, args.csv)
+        _write_label_columns(events, args.csv)
         print(f"wrote {args.csv}")
     return 0
 

@@ -10,6 +10,7 @@ input.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import secrets
@@ -147,6 +148,89 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> list:
     [-180, 180). Rows that become exact duplicates after that are dropped.
     Returns events sorted by (frame, class, azimuth, elevation).
     """
+    return _as_events(_read_label_columns(path, n_classes))
+
+
+def write_label_csv(events, path) -> None:
+    """Write events as frame,class,0,azimuth,elevation integer rows.
+
+    Azimuth/elevation are rounded to whole degrees for emission (full
+    precision stays with the in-memory events); azimuth is re-wrapped after
+    rounding and elevation is clamped to [-90, 89] so the file always
+    re-reads cleanly.
+    """
+    _write_label_columns(_as_columns(events), path)
+
+
+# Label events travel between the reader, decode and the scorer as private
+# columns: (frame, class_id, azimuth, elevation) arrays, int64 / int64 /
+# float64 / float64. The public functions take and return Event lists.
+
+def _as_columns(events) -> tuple:
+    """The columns of an Event list."""
+    events = list(events)
+    return (_int_column([e.frame for e in events]),
+            _int_column([e.class_id for e in events]),
+            np.array([e.azimuth for e in events], dtype=np.float64),
+            np.array([e.elevation for e in events], dtype=np.float64))
+
+
+def _int_column(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # the csv path accepts any int, so keep exact ints
+        return np.array(values, dtype=object)
+
+
+def _as_events(columns) -> list:
+    """The Event list of some columns, in column order."""
+    return [Event(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
+_LABEL_BYTES = b"0123456789,-\n"
+
+
+def _read_label_columns(path, n_classes: int = N_CLASSES) -> tuple:
+    """read_label_csv as columns.
+
+    A file of digits, commas, minus signs and newlines is parsed whole by
+    np.loadtxt, then checked column by column. Any other byte, any parse
+    failure and any row the checks reject send the file through the csv
+    reader, which alone decides what is accepted and words every error, so
+    both paths accept the same files and return the same events.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    rows = None
+    # with no digit there is no row for loadtxt, which would only warn
+    if not blob.translate(None, _LABEL_BYTES) and blob.strip(b",-\n"):
+        try:
+            rows = np.loadtxt(io.StringIO(blob.decode("ascii")), delimiter=",",
+                              dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, OverflowError):
+            pass
+    if rows is not None and rows.shape[1] == 5:
+        frame, class_id, _source, az, el = rows.T
+        if (frame.min() >= 0 and class_id.min() >= 0 and class_id.max() < n_classes
+                and el.min() >= -90 and el.max() < 90):
+            az = normalize_azimuth(az.astype(np.float64))
+            el = el.astype(np.float64)
+            order = np.lexsort((el, az, class_id, frame))
+            columns = [col[order] for col in (frame, class_id, az, el)]
+            return tuple(col[_first_of_runs(*columns)] for col in columns)
+    return _as_columns(_read_label_rows(path, n_classes))
+
+
+def _first_of_runs(*columns) -> np.ndarray:
+    """Mask of the rows that differ from the row before in some column."""
+    first = np.ones(len(columns[0]), dtype=bool)
+    if len(first):
+        first[1:] = np.any([col[1:] != col[:-1] for col in columns], axis=0)
+    return first
+
+
+def _read_label_rows(path, n_classes: int) -> list:
+    """read_label_csv through the csv module, one row at a time."""
     events = []
     seen = set()
     with _open_text_input(path) as fh:
@@ -175,19 +259,19 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> list:
     return events
 
 
-def write_label_csv(events, path) -> None:
-    """Write events as frame,class,0,azimuth,elevation integer rows.
+def _write_label_columns(columns, path) -> None:
+    """write_label_csv from columns.
 
-    Azimuth/elevation are rounded to whole degrees for emission (full
-    precision stays with the in-memory events); azimuth is re-wrapped after
-    rounding and elevation is clamped to [-90, 89] so the file always
-    re-reads cleanly.
+    np.rint rounds half to even like Python's round, so the bytes match
+    rounding each event on its own.
     """
-    lines = []
-    for ev in events:
-        az = int(normalize_azimuth(round(ev.azimuth)))
-        el = int(min(max(round(ev.elevation), -90), 89))
-        lines.append(f"{ev.frame},{ev.class_id},0,{az},{el}\n")
+    frame, class_id, az, el = columns
+    if not (np.isfinite(az).all() and np.isfinite(el).all()):
+        raise SeldkitError("refusing to write a non-finite direction")
+    az = normalize_azimuth(np.rint(az)).astype(np.int64)
+    el = np.clip(np.rint(el), -90, 89).astype(np.int64)
+    lines = [f"{f},{c},0,{a},{e}\n" for f, c, a, e in
+             zip(frame.tolist(), class_id.tolist(), az.tolist(), el.tolist())]
     _atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 

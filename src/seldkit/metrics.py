@@ -12,24 +12,34 @@ averaging rule: macro (the default) takes the mean of the class ratios,
 micro the ratio of the class sums. LE and LR ignore the 20 degree gate:
 they score every matched pair, which is what makes them class-dependent
 rather than location-dependent.
+
+The public functions take Event lists; inside, events travel as private
+(frame, class_id, azimuth, elevation) columns, which the CLI reads and
+decodes straight into. All cells of a call are grouped by one sort, their
+cost entries come from one stacked matmul, and the tallies from bincount.
+The float sums run in a fixed order: each class's angle sum adds its
+matched angles cell by cell in segment order (pred row order within a
+cell), and macro means and micro sums take the classes in ascending id.
+ER and every count are exact; F1, LE and LR depend on that order only in
+their last bits.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .accdoa import _row_norms, _unit_vectors, decode
+from .accdoa import _decode_columns, _row_norms, _unit_vectors
+from .dataset_io import _as_columns, _first_of_runs
 from .errors import ZeroVector
 
 SEGMENT_LABEL_FRAMES = 10
 SPATIAL_THRESHOLD_DEG = 20.0
 
 _EPS_NORM = 1e-9
-_NO_VECTORS = np.empty((0, 3))
+_SWEEP_THRESHOLDS = (0.3, 0.5, 0.7)
 
 
 @dataclass
@@ -69,19 +79,26 @@ def angular_distance(v1, v2) -> float:
 
 def _angle_matrix(a, b) -> np.ndarray:
     """(P, R) great-circle angles in degrees between the rows of a (P, 3)
-    and b (R, 3), the array form of angular_distance.
-
-    Each dot product is its own stacked 1x3 @ 3x1 matmul, which rounds like
-    np.dot of the two rows; a @ b.T becomes a BLAS gemv when P or R is 1
-    and can differ in the last bit.
-    """
+    and b (R, 3), the array form of angular_distance."""
     na = _row_norms(a)
     nb = _row_norms(b)
     if (na < _EPS_NORM).any() or (nb < _EPS_NORM).any():
         raise ZeroVector("cannot measure an angle to a zero vector")
-    dots = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
-    cos = np.clip(dots / (na[:, None] * nb[None, :]), -1.0, 1.0)
-    return np.rad2deg(np.arccos(cos))
+    i = np.repeat(np.arange(len(a)), len(b))
+    j = np.tile(np.arange(len(b)), len(a))
+    return _angles(a[i], na[i], b[j], nb[j]).reshape(len(a), len(b))
+
+
+def _angles(a, na, b, nb) -> np.ndarray:
+    """Great-circle angles in degrees between matching rows of a and b,
+    given their norms.
+
+    Each dot product is its own stacked 1x3 @ 3x1 matmul, which rounds like
+    np.dot of the two rows; a (P, 3) @ (3, R) product becomes a BLAS gemv
+    when P or R is 1 and can differ in the last bit.
+    """
+    dots = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.rad2deg(np.arccos(np.clip(dots / (na * nb), -1.0, 1.0)))
 
 
 def segment_events(events, segment_len: int = SEGMENT_LABEL_FRAMES) -> dict:
@@ -91,10 +108,11 @@ def segment_events(events, segment_len: int = SEGMENT_LABEL_FRAMES) -> dict:
     source holding one direction across a whole segment contributes a
     single DoA to its cell.
     """
-    cells = defaultdict(set)
-    for ev in events:
-        cells[(ev.frame // segment_len, ev.class_id)].add((ev.azimuth, ev.elevation))
-    return {cell: sorted(doas) for cell, doas in cells.items()}
+    segment, class_id, az, el = _segment_columns(_as_columns(events), segment_len)
+    cells = {}
+    for cell_doa in zip(segment.tolist(), class_id.tolist(), az.tolist(), el.tolist()):
+        cells.setdefault(cell_doa[:2], []).append(cell_doa[2:])
+    return cells
 
 
 def match_cell(pred_doas, ref_doas) -> tuple:
@@ -106,29 +124,65 @@ def match_cell(pred_doas, ref_doas) -> tuple:
     """
     if not pred_doas or not ref_doas:
         return [], len(pred_doas), len(ref_doas)
-    return _match_vectors(_unit_vectors(pred_doas), _unit_vectors(ref_doas))
+    pred, ref = _unit_vectors(pred_doas), _unit_vectors(ref_doas)
+    _, i, j, angle = _match_cells((pred, _row_norms(pred), np.array([len(pred)])),
+                                  (ref, _row_norms(ref), np.array([len(ref)])))
+    pairs = list(zip(i.tolist(), j.tolist(), angle.tolist()))
+    return pairs, len(pred) - len(pairs), len(ref) - len(pairs)
 
 
-def _match_vectors(pred_vecs, ref_vecs) -> tuple:
-    """match_cell over (P, 3) and (R, 3) unit-vector arrays."""
-    if not len(pred_vecs) or not len(ref_vecs):
-        return [], len(pred_vecs), len(ref_vecs)
-    cost = _angle_matrix(pred_vecs, ref_vecs)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
-    return pairs, len(pred_vecs) - len(pairs), len(ref_vecs) - len(pairs)
+def _segment_columns(columns, segment_len: int) -> tuple:
+    """(segment, class_id, azimuth, elevation) of the distinct DoAs of each
+    (segment, class) cell, sorted by segment, class, azimuth, elevation."""
+    if not segment_len >= 1:
+        raise ValueError(f"segment_len must be at least 1, got {segment_len}")
+    frame, class_id, az, el = columns
+    segment = frame // segment_len
+    order = np.lexsort((el, az, class_id, segment))
+    cols = [col[order] for col in (segment, class_id, az, el)]
+    return tuple(col[_first_of_runs(*cols)] for col in cols)
 
 
-def _vector_cells(events, segment_len: int) -> dict:
-    """segment_events with each cell's DoAs as a (n, 3) unit-vector array.
+def _match_cells(pred, ref) -> tuple:
+    """Minimum-total-angle assignments of many cells at once.
 
-    All DoAs of the call are converted in one _unit_vectors call, so an
-    elevation outside [-90, 90] anywhere among the events is rejected.
+    pred and ref are (unit vectors, their norms, DoAs per cell) over the
+    same cells; each side's vectors run cell by cell. Every cost entry of
+    every cell comes out of one stacked matmul. A 1 x R or P x 1 cell takes
+    its first minimum, the pair linear_sum_assignment picks there too;
+    larger cells are solved by linear_sum_assignment one at a time.
+    Returns (cell, pred row in cell, ref row in cell, angle) arrays of the
+    pairs, by cell and then pred row.
     """
-    cells = segment_events(events, segment_len)
-    vecs = _unit_vectors([doa for doas in cells.values() for doa in doas])
-    ends = np.cumsum([len(doas) for doas in cells.values()], dtype=int)
-    return dict(zip(cells, np.split(vecs, ends[:-1])))
+    (p_vecs, p_norms, n_p), (r_vecs, r_norms, n_r) = pred, ref
+    size = n_p * n_r
+    first = np.cumsum(size) - size
+    entry_cell = np.repeat(np.arange(len(size)), size)
+    i, j = np.divmod(np.arange(len(entry_cell)) - first[entry_cell], n_r[entry_cell])
+    pi = i + (np.cumsum(n_p) - n_p)[entry_cell]
+    ri = j + (np.cumsum(n_r) - n_r)[entry_cell]
+    cost = _angles(np.take(p_vecs, pi, axis=0), p_norms[pi],
+                   np.take(r_vecs, ri, axis=0), r_norms[ri])
+    if not np.isfinite(cost).all():  # a nan would mispair the line cells
+        raise ValueError("matrix contains invalid numeric entries")
+
+    solved = size > 0
+    low = np.repeat(np.minimum.reduceat(cost, first[solved]), size[solved])
+    at_low = np.flatnonzero(cost == low)
+    line = (n_p[solved] == 1) | (n_r[solved] == 1)
+    picks = [at_low[np.searchsorted(at_low, first[solved][line])]]
+    square = solved & (n_p > 1) & (n_r > 1)
+    if square.any():
+        starts, n_rows, n_cols = first[square], n_p[square], n_r[square]
+        rows, cols = zip(*(
+            linear_sum_assignment(cost[f:f + p * r].reshape(p, r))
+            for f, p, r in zip(starts.tolist(), n_rows.tolist(), n_cols.tolist())
+        ))
+        n_pairs = np.minimum(n_rows, n_cols)
+        picks.append(np.repeat(starts, n_pairs) + np.concatenate(rows)
+                     * np.repeat(n_cols, n_pairs) + np.concatenate(cols))
+    pos = np.sort(np.concatenate(picks))
+    return entry_cell[pos], i[pos], j[pos], cost[pos]
 
 
 def compute_seld_scores(preds, refs,
@@ -139,13 +193,14 @@ def compute_seld_scores(preds, refs,
 
     Empty references leave ER without a denominator: er is then 0.0 with
     er_undefined set. When both sides are empty every score is perfect by
-    convention (0, 100, 0, 100). Each (segment, class) cell is matched on
-    one angle matrix built from its unit vectors in one array expression.
+    convention (0, 100, 0, 100).
     """
-    return _reference_scorer(refs, spatial_threshold, segment_len, average)(preds)
+    scorer = _reference_scorer(_as_columns(refs), spatial_threshold,
+                               segment_len, average)
+    return scorer(_as_columns(preds))
 
 
-def threshold_sweep(accdoa_pred, refs, thresholds=(0.3, 0.5, 0.7),
+def threshold_sweep(accdoa_pred, refs, thresholds=_SWEEP_THRESHOLDS,
                     **score_kwargs) -> list:
     """Decode a prediction tensor at each threshold and score it.
 
@@ -153,45 +208,58 @@ def threshold_sweep(accdoa_pred, refs, thresholds=(0.3, 0.5, 0.7),
     all thresholds. Returns [(threshold, SeldScores)] in the given
     threshold order.
     """
-    score = _reference_scorer(refs, **score_kwargs)
-    return [(thr, score(decode(accdoa_pred, thr))) for thr in thresholds]
+    return _threshold_sweep(accdoa_pred, _as_columns(refs), thresholds,
+                            **score_kwargs)
+
+
+def _threshold_sweep(accdoa_pred, ref_columns, thresholds=_SWEEP_THRESHOLDS,
+                     **score_kwargs) -> list:
+    """threshold_sweep against reference columns."""
+    score = _reference_scorer(ref_columns, **score_kwargs)
+    return [(thr, score(_decode_columns(accdoa_pred, thr))) for thr in thresholds]
 
 
 def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
                       segment_len: int = SEGMENT_LABEL_FRAMES,
                       average: str = "macro"):
-    """Segment and convert refs once; return preds -> SeldScores."""
+    """Segment and convert reference columns once; return a function from
+    prediction columns to SeldScores."""
     if average not in ("macro", "micro"):
         raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
-    ref_cells = _vector_cells(refs, segment_len)
+    ref_segment, ref_class, ref_vecs = _cell_vectors(refs, segment_len)
+    ref_norms = _row_norms(ref_vecs)
 
     def score(preds) -> SeldScores:
-        pred_cells = _vector_cells(preds, segment_len)
-        per_class = defaultdict(ClassCounts)
-        per_segment = defaultdict(lambda: [0, 0])  # fp, fn
-        for cell in set(pred_cells) | set(ref_cells):
-            segment, class_id = cell
-            p = pred_cells.get(cell, _NO_VECTORS)
-            r = ref_cells.get(cell, _NO_VECTORS)
-            pairs, unmatched_p, unmatched_r = _match_vectors(p, r)
-            tp = sum(1 for _, _, angle in pairs if angle < spatial_threshold)
-            far = len(pairs) - tp
-            counts = per_class[class_id]
-            counts.tp += tp
-            counts.fp += unmatched_p + far
-            counts.fn += unmatched_r + far
-            counts.n_matched += len(pairs)
-            counts.n_refs += len(r)
-            counts.angle_sum += sum(angle for _, _, angle in pairs)
-            seg = per_segment[segment]
-            seg[0] += unmatched_p + far
-            seg[1] += unmatched_r + far
+        pred_segment, pred_class, pred_vecs = _cell_vectors(preds, segment_len)
+        cell_segment, cell_class, n_p, n_r = _cells_of_both(
+            (pred_segment, pred_class), (ref_segment, ref_class))
+        pair_cell, _, _, angle = _match_cells(
+            (pred_vecs, _row_norms(pred_vecs), n_p), (ref_vecs, ref_norms, n_r))
 
+        tp = np.bincount(pair_cell[angle < spatial_threshold],
+                         minlength=len(cell_segment))
+        fp, fn = n_p - tp, n_r - tp
         # per segment, S = min(fp, fn) substitutions, fn - S deletions and
         # fp - S insertions add up to max(fp, fn) errors
-        errors = sum(max(fp, fn) for fp, fn in per_segment.values())
+        seg_starts = np.flatnonzero(_first_of_runs(cell_segment))
+        errors = int(np.maximum(np.add.reduceat(fp, seg_starts),
+                                np.add.reduceat(fn, seg_starts)).sum())
+        class_ids, cell_k = np.unique(cell_class, return_inverse=True)
+
+        def by_class(values):
+            return np.bincount(cell_k, values, len(class_ids)).astype(np.int64).tolist()
+
+        # bincount adds in array order: each class's angles by segment, and
+        # within a cell by pred row
+        per_class = {
+            class_id: ClassCounts(*counts) for class_id, *counts in zip(
+                class_ids.tolist(), by_class(tp), by_class(fp), by_class(fn),
+                by_class(np.minimum(n_p, n_r)), by_class(n_r),
+                np.bincount(cell_k[pair_cell], angle, len(class_ids))
+                .astype(np.float64).tolist())
+        }
         classes = per_class.values()
-        total_refs = sum(c.n_refs for c in classes)
+        total_refs = len(ref_vecs)
         er_undefined = total_refs == 0
         er = 0.0 if er_undefined else errors / total_refs
         f1 = _average([2 * c.tp for c in classes],
@@ -203,9 +271,37 @@ def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
         lr = _average([c.n_matched for c in classes],
                       [c.n_refs for c in classes],
                       average, 100.0, empty=100.0)
-        return SeldScores(er, f1, le, lr, er_undefined, dict(per_class))
+        return SeldScores(er, f1, le, lr, er_undefined, per_class)
 
     return score
+
+
+def _cells_of_both(pred, ref) -> tuple:
+    """The (segment, class) cells either side's (segment, class_id) columns
+    reach, by segment and then class: (segment, class_id, pred DoAs, ref
+    DoAs) per cell. Each side's rows must run cell by cell in this order,
+    as _segment_columns leaves them, for the counts to index its rows."""
+    segment, class_id = (np.concatenate(cols) for cols in zip(pred, ref))
+    order = np.lexsort((class_id, segment))
+    starts = _first_of_runs(segment[order], class_id[order])
+    cell_of = np.empty(len(order), dtype=np.intp)
+    cell_of[order] = np.cumsum(starts) - 1
+    n_cells = np.count_nonzero(starts)
+    n_pred = len(pred[0])
+    return (segment[order][starts], class_id[order][starts],
+            np.bincount(cell_of[:n_pred], minlength=n_cells),
+            np.bincount(cell_of[n_pred:], minlength=n_cells))
+
+
+def _cell_vectors(columns, segment_len: int) -> tuple:
+    """(segment, class_id, unit vectors) of each cell's distinct DoAs, as
+    sorted by _segment_columns.
+
+    All DoAs of the call are converted at once, so an elevation outside
+    [-90, 90] anywhere among the events is rejected.
+    """
+    segment, class_id, az, el = _segment_columns(columns, segment_len)
+    return segment, class_id, _unit_vectors(np.stack((az, el), axis=-1))
 
 
 def format_scores_line(scores: SeldScores) -> str:

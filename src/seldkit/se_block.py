@@ -98,14 +98,14 @@ _SQUEEZE_AXES = {"channel": (1, 2), "freq": (0,)}
 def se_forward(x, p: SeParams, which: str) -> np.ndarray:
     """Gate x by an excitation of its means over the axes that variant
     `which` ("channel" or "freq") squeezes."""
-    return _se(_as_tensor3(x), p, which)[0]
+    return _gate(_se(_as_tensor3(x), p, which))
 
 
 def se_backward(x, p: SeParams, grad_y, which: str) -> tuple:
     """Exact gradients of se_forward: (grad_x, parameter gradients)."""
     x = _as_tensor3(x)
     grad_y = _as_grad(grad_y, x)
-    return _se_grad(_se(x, p, which)[1], p, grad_y)
+    return _se_grad(_se(x, p, which), p, grad_y)
 
 
 channel_se_forward = partial(se_forward, which="channel")
@@ -125,8 +125,8 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
     parameter gradients, channel parameter gradients)."""
     x = _as_tensor3(x)
     grad_y = _as_grad(grad_y, x)
-    inner, freq_cache = _se(x, p_freq, "freq")
-    chan_cache = _se(inner, p_chan, "channel")[1]
+    freq_cache = _se(x, p_freq, "freq")
+    chan_cache = _se(_gate(freq_cache), p_chan, "channel")
     grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y)
     grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner)
     return grad_x, grad_p_freq, grad_p_chan
@@ -227,10 +227,11 @@ def _gated_axis(which: str) -> int:
 
 
 def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
-    """Squeeze the float64 (C, F, T) x to (d, m) means z, run the
-    bottleneck on them and gate x by the result: returns y and the cache
-    _se_grad reads (x, the squeezed axes, the shape that lifts (d, m) back
-    onto x, z, a1, h and the gates s)."""
+    """Squeeze the float64 (C, F, T) x to (d, m) means z and run the
+    bottleneck on them: returns the cache _gate and _se_grad read (x, the
+    squeezed axes, the shape that lifts (d, m) back onto x, z, a1, h and
+    the gates s). The gated map itself is left to _gate, since a backward
+    pass needs it only where a further SE stage reads it."""
     axes = _squeeze_axes(which)
     gated = _gated_axis(which)
     if p.d != x.shape[gated]:
@@ -242,11 +243,17 @@ def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
     a1 = p.w1 @ z + p.b1[:, None]
     h = np.maximum(a1, 0.0)
     s = expit(p.w2 @ h + p.b2[:, None])
-    return s.reshape(gate_shape) * x, (x, axes, gate_shape, z, a1, h, s)
+    return x, axes, gate_shape, z, a1, h, s
+
+
+def _gate(cache: tuple) -> np.ndarray:
+    """The output y of the _se call that made cache: x gated by s."""
+    x, _, gate_shape, *_, s = cache
+    return s.reshape(gate_shape) * x
 
 
 def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray) -> tuple:
-    """Exact gradients of _se's y from its cache and a float64 grad_y of
+    """Exact gradients of _gate(cache) from the cache and a float64 grad_y of
     x's shape: (grad_x, parameter gradients)."""
     x, axes, gate_shape, z, a1, h, s = cache
     grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)

@@ -18,11 +18,14 @@ from seldkit import (
     segment_events,
     threshold_sweep,
 )
-from seldkit.accdoa import _unit_vectors
+from seldkit import cli
+from seldkit.accdoa import _row_norms, _unit_vectors
+from seldkit.dataset_io import read_label_csv, write_feature_file, write_label_csv
 from seldkit.errors import ElevationOutOfRange, ZeroVector
 from seldkit.metrics import (
     SeldScores,
     _angle_matrix,
+    _match_cells,
     format_scores_line,
     format_sweep_table,
     scores_to_csv,
@@ -384,6 +387,109 @@ class TestArrayCostMatchesScalar:
             assert angular_distance(a, b) == oracles._scalar_angle(a, b)
 
 
+    def test_many_cells_at_once_match_cell_by_cell(self):
+        # one ragged batch of cells of every shape, empty sides included,
+        # pairs the same as matching each cell on its own
+        rng = np.random.default_rng(34)
+        shapes = [(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+                  for _ in range(200)]
+        cells = [(random_doas(rng, p, True), random_doas(rng, r, True))
+                 for p, r in shapes]
+
+        def side(k):
+            vecs = _unit_vectors([d for cell in cells for d in cell[k]])
+            return vecs, _row_norms(vecs), np.array([len(c[k]) for c in cells])
+
+        cell, i, j, angle = _match_cells(side(0), side(1))
+        got = list(zip(cell.tolist(), i.tolist(), j.tolist(), angle.tolist()))
+        want = [(c, *pair) for c, (preds, refs) in enumerate(cells)
+                for pair in match_cell(preds, refs)[0]]
+        assert got == want
+
+
+class TestLineCellTies:
+    """A 1 x R or P x 1 cell is solved by its first minimum, not by
+    linear_sum_assignment; on equal angles both pick the same pair."""
+
+    CELLS = [
+        ([(0.0, 0.0)], [(10.0, 0.0), (-10.0, 0.0)]),
+        ([(10.0, 0.0), (-10.0, 0.0)], [(0.0, 0.0)]),
+        ([(0.0, 0.0)], [(30.0, 0.0), (0.0, 5.0), (-30.0, 0.0), (0.0, -5.0)]),
+        ([(90.0, 10.0), (90.0, -10.0), (0.0, 0.0)], [(90.0, 0.0)]),
+    ]
+
+    @pytest.mark.parametrize("preds, refs", CELLS)
+    def test_same_pair_as_linear_sum_assignment(self, preds, refs):
+        cost = oracles.scalar_cost_matrix(preds, refs)
+        assert np.count_nonzero(cost == cost.min()) > 1  # a real tie
+        rows, cols = linear_sum_assignment(cost)
+        pairs, _, _ = match_cell(preds, refs)
+        assert pairs == [(int(i), int(j), float(cost[i, j]))
+                         for i, j in zip(rows, cols)]
+
+    @pytest.mark.parametrize("preds, refs", CELLS)
+    def test_scores_match_brute_force(self, preds, refs):
+        pred_events = [Event(3, 2, az, el) for az, el in preds]
+        ref_events = [Event(5, 2, az, el) for az, el in refs]
+        for average in ("macro", "micro"):
+            for threshold in (2.0, 15.0, 45.0):  # clear of every angle
+                got = compute_seld_scores(pred_events, ref_events, threshold,
+                                          average=average)
+                want = oracles.brute_force_seld_scores(
+                    pred_events, ref_events, threshold, average=average)
+                assert (got.er, got.f1, got.lr) == (want["er"], want["f1"],
+                                                     want["lr"])
+                assert_allclose(got.le, want["le"], rtol=1e-12)
+
+
+class TestRowOrderInvariance:
+    """Scores and report texts depend on the set of label rows, not on
+    their order or on repeated rows."""
+
+    @staticmethod
+    def rewrite(path, rng, out):
+        lines = path.read_text().splitlines(keepends=True)
+        lines += [lines[k] for k in rng.integers(0, len(lines), len(lines) // 2)]
+        out.write_text("".join(lines[k] for k in rng.permutation(len(lines))))
+        return out
+
+    def test_shuffled_and_duplicated_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(45)
+        for trial in range(8):
+            refs = helpers.random_events(rng, 60, max_events=150,
+                                         integer_angles=True)
+            preds = [Event(e.frame, e.class_id,
+                           float(rng.integers(-180, 180)), e.elevation)
+                     if rng.random() < 0.3 else e
+                     for e in refs if rng.random() < 0.8]
+            preds += helpers.random_events(rng, 60, max_events=30,
+                                           integer_angles=True)
+            ref_csv, pred_csv = tmp_path / "ref.csv", tmp_path / "pred.csv"
+            write_label_csv(refs, ref_csv)
+            write_label_csv(sorted(set(preds)), pred_csv)
+            tensor = tmp_path / "pred.slsa"
+            write_feature_file(
+                encode(refs, 60) + rng.normal(0.0, 0.3, (3, 13, 60)), tensor)
+
+            def reports(pred, ref):
+                texts = []
+                for argv in (["score", str(pred), str(ref)],
+                             ["score", str(tensor), str(ref), "--sweep"]):
+                    report = tmp_path / "report.csv"
+                    assert cli.main([*argv, "--report", str(report)]) == 0
+                    texts.append(report.read_text())
+                return texts, capsys.readouterr().out
+
+            want = reports(pred_csv, ref_csv)
+            want_scores = compute_seld_scores(read_label_csv(pred_csv),
+                                              read_label_csv(ref_csv))
+            pred_2 = self.rewrite(pred_csv, rng, tmp_path / "pred2.csv")
+            ref_2 = self.rewrite(ref_csv, rng, tmp_path / "ref2.csv")
+            assert reports(pred_2, ref_2) == want
+            assert compute_seld_scores(read_label_csv(pred_2),
+                                       read_label_csv(ref_2)) == want_scores
+
+
 class TestBoundariesAndTies:
     def test_twenty_degrees_measures_just_under_the_gate(self):
         # 20 degrees of azimuth comes out one ulp short of 20.0 and counts
@@ -405,6 +511,18 @@ class TestBoundariesAndTies:
         with pytest.raises(ElevationOutOfRange):
             compute_seld_scores([Event(0, 0, 0.0, 91.0)],
                                 [Event(0, 0, 0.0, 0.0)])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_azimuth_in_a_matched_cell(self):
+        # a 1 x R cell with a nan cost ahead of a cell that matches cleanly
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="invalid numeric entries"):
+                compute_seld_scores(
+                    [Event(0, 0, bad, 0.0), Event(0, 1, 5.0, 0.0)],
+                    [Event(0, 0, 0.0, 0.0), Event(1, 0, 9.0, 0.0),
+                     Event(0, 1, 0.0, 0.0)])
+            with pytest.raises(ValueError, match="invalid numeric entries"):
+                match_cell([(bad, 0.0)], [(0.0, 0.0), (9.0, 0.0)])
 
     def test_elevation_out_of_range_in_an_unmatched_cell(self):
         # every DoA of a call is converted up front, so a bad event is
