@@ -31,6 +31,7 @@ from .augment import (
 from .dataset_io import (
     DatasetManifest,
     Event,
+    Events,
     ManifestEntry,
     MultichannelClip,
     N_CLASSES,

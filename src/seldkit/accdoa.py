@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset_io import N_CLASSES, _as_events, normalize_azimuth
+from .dataset_io import N_CLASSES, Events, normalize_azimuth
 from .errors import (
     ClassOutOfRange,
     ElevationOutOfRange,
@@ -119,7 +119,7 @@ def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
     return tensor
 
 
-def decode(tensor, threshold: float = 0.5) -> list:
+def decode(tensor, threshold: float = 0.5) -> Events:
     """Decode an ACCDOA tensor into events where the vector norm > threshold.
 
     The comparison is strict, so a threshold of 1.0 silences even exact unit
@@ -130,11 +130,6 @@ def decode(tensor, threshold: float = 0.5) -> list:
     first such cell in (frame, class) order, rather than decoded as silence
     or as a nan direction. Returned events are sorted by (frame, class).
     """
-    return _as_events(_decode_columns(tensor, threshold))
-
-
-def _decode_columns(tensor, threshold: float = 0.5) -> tuple:
-    """decode as (frame, class_id, azimuth, elevation) columns."""
     if not 0.0 < threshold < np.inf:
         raise SeldkitError(f"threshold must be positive and finite, got {threshold}")
     if threshold < _EPS_NORM:
@@ -155,7 +150,7 @@ def _decode_columns(tensor, threshold: float = 0.5) -> tuple:
             "non-finite norm"
         )
     frames, classes = np.nonzero(norms > threshold)
-    return (frames, classes, *_directions(arr[:, classes, frames].T))
+    return Events(frames, classes, *_directions(arr[:, classes, frames].T))
 
 
 def ensemble_average(tensors) -> np.ndarray:

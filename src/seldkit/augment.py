@@ -297,9 +297,6 @@ class AugmentConfig:
             raise SeldkitError(f"mode {self.mode!r} not one of {MODES}")
 
 
-CONFIG_FLOAT_KEYS = ("cs_prob", "fs_prob", "tm_prob", "mm_prob",
-                      "tm_ratio_min", "tm_ratio_max", "mm_beta_alpha")
-
 DEFAULT_SEED = 17
 
 # each config key parses as the type of its AugmentConfig default

@@ -8,6 +8,7 @@ codes: 0 success, 1 input error (bad files, bad flags), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,8 +19,6 @@ from . import accdoa, augment, features, metrics, se_block
 from .dataset_io import (
     N_CLASSES,
     _atomic_write_bytes,
-    _read_label_columns,
-    _write_label_columns,
     read_feature_file,
     read_foa_wav,
     read_label_csv,
@@ -56,6 +55,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="seldkit",
                      description="SELD feature/augmentation/metrics toolkit")
@@ -78,12 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-labels", required=True)
     p.add_argument("--partner-features", help="mixup partner feature file")
     p.add_argument("--partner-labels", help="mixup partner label file")
-    p.add_argument("--config", help="key=value file with augmentation knobs")
-    p.add_argument("--seed", type=int, help=f"default {augment.DEFAULT_SEED}")
-    for key in augment.CONFIG_FLOAT_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--ps-range", type=int, dest="ps_range")
-    p.add_argument("--mode", choices=augment.MODES)
+    p.add_argument("--config", help="key=value file with augmentation knobs; "
+                   "a flag per key overrides it (--cs-prob, --mode, ...; "
+                   f"--seed defaults to {augment.DEFAULT_SEED})")
+    for key in augment._CONFIG_TYPES:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("encode", help="label CSV -> ACCDOA tensor")
@@ -179,10 +178,9 @@ def cmd_augment(args) -> int:
     feats = _trim_to_labels(feats, labs.shape[2])
 
     mapping = augment.parse_config_file(args.config) if args.config else {}
-    for key in (*augment.CONFIG_FLOAT_KEYS, "ps_range", "mode", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
+    for key in augment._CONFIG_TYPES:
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     config, seed = augment.config_from_mapping(mapping)
 
     if bool(args.partner_features) != bool(args.partner_labels):
@@ -220,9 +218,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    refs = _read_label_columns(args.ref)
+    refs = read_label_csv(args.ref)
     if args.sweep:
-        rows = metrics._threshold_sweep(
+        rows = metrics.threshold_sweep(
             read_feature_file(args.pred), refs, average=args.average
         )
         print(metrics.format_sweep_table(rows))
@@ -232,8 +230,8 @@ def cmd_score(args) -> int:
                 lines.append(f"{thr},{s.er:.6f},{s.f1:.6f},{s.le:.6f},{s.lr:.6f}")
             _atomic_write_bytes(args.report, ("\n".join(lines) + "\n").encode("utf-8"))
         return 0
-    score = metrics._reference_scorer(refs, average=args.average)
-    scores = score(_read_label_columns(args.pred))
+    scores = metrics.compute_seld_scores(read_label_csv(args.pred), refs,
+                                         average=args.average)
     print(metrics.format_scores_line(scores))
     if args.report:
         _atomic_write_bytes(args.report, metrics.scores_to_csv(scores).encode("utf-8"))
@@ -275,11 +273,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_ensemble(args) -> int:
     tensors = [read_feature_file(p) for p in args.tensors]
     avg = accdoa.ensemble_average(tensors)
-    events = accdoa._decode_columns(avg, args.threshold) if args.csv else None
+    events = accdoa.decode(avg, args.threshold) if args.csv else None
     write_feature_file(avg, args.out)
     print(f"wrote {args.out} (mean of {len(tensors)} tensors)")
     if args.csv:
-        _write_label_columns(events, args.csv)
+        write_label_csv(events, args.csv)
         print(f"wrote {args.csv}")
     return 0
 

@@ -28,6 +28,7 @@ from .errors import (
     MalformedRow,
     MalformedWav,
     SeldkitError,
+    ShapeMismatch,
     TooShort,
     TruncatedPayload,
     VersionMismatch,
@@ -141,57 +142,58 @@ def read_foa_wav(path) -> MultichannelClip:
     return MultichannelClip(samples.T)
 
 
-def read_label_csv(path, n_classes: int = N_CLASSES) -> list:
-    """Read a DCASE-style label CSV: frame,class,source,azimuth,elevation.
+_EVENT_COLUMNS = (("frame", np.int64), ("class_id", np.int64),
+                  ("azimuth", np.float64), ("elevation", np.float64))
 
-    The source/track column is discarded. Azimuths are wrapped into
-    [-180, 180). Rows that become exact duplicates after that are dropped.
-    Returns events sorted by (frame, class, azimuth, elevation).
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Label events as columns, one row per event: frame and class_id are
+    int64 arrays, azimuth and elevation float64 arrays in degrees.
+
+    This is the form the label reader, decode and the scorer pass along;
+    iterating yields the rows as Event objects, and list(events) is the
+    form to compare or index.
     """
-    return _as_events(_read_label_columns(path, n_classes))
 
+    frame: np.ndarray
+    class_id: np.ndarray
+    azimuth: np.ndarray
+    elevation: np.ndarray
 
-def write_label_csv(events, path) -> None:
-    """Write events as frame,class,0,azimuth,elevation integer rows.
+    def __post_init__(self):
+        for name, dtype in _EVENT_COLUMNS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        shapes = {getattr(self, name).shape for name, _ in _EVENT_COLUMNS}
+        if len(shapes) != 1 or self.frame.ndim != 1:
+            raise ShapeMismatch(f"event columns must be 1-D and of one length, "
+                                f"got shapes {sorted(shapes)}")
 
-    Azimuth/elevation are rounded to whole degrees for emission (full
-    precision stays with the in-memory events); azimuth is re-wrapped after
-    rounding and elevation is clamped to [-90, 89] so the file always
-    re-reads cleanly.
-    """
-    _write_label_columns(_as_columns(events), path)
+    def __len__(self) -> int:
+        return len(self.frame)
 
+    def __iter__(self):
+        return map(Event, *(getattr(self, name).tolist() for name, _ in _EVENT_COLUMNS))
 
-# Label events travel between the reader, decode and the scorer as private
-# columns: (frame, class_id, azimuth, elevation) arrays, int64 / int64 /
-# float64 / float64. The public functions take and return Event lists.
-
-def _as_columns(events) -> tuple:
-    """The columns of an Event list."""
-    events = list(events)
-    return (_int_column([e.frame for e in events]),
-            _int_column([e.class_id for e in events]),
-            np.array([e.azimuth for e in events], dtype=np.float64),
-            np.array([e.elevation for e in events], dtype=np.float64))
-
-
-def _int_column(values) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:  # the csv path accepts any int, so keep exact ints
-        return np.array(values, dtype=object)
-
-
-def _as_events(columns) -> list:
-    """The Event list of some columns, in column order."""
-    return [Event(*row) for row in zip(*(col.tolist() for col in columns))]
+    @classmethod
+    def of(cls, events) -> Events:
+        """events itself if it is an Events, else the columns of an
+        iterable of Event."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+        return cls(*([getattr(e, name) for e in events] for name, _ in _EVENT_COLUMNS))
 
 
 _LABEL_BYTES = b"0123456789,-\n"
 
 
-def _read_label_columns(path, n_classes: int = N_CLASSES) -> tuple:
-    """read_label_csv as columns.
+def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
+    """Read a DCASE-style label CSV: frame,class,source,azimuth,elevation.
+
+    The source/track column is discarded. Azimuths are wrapped into
+    [-180, 180). Rows that become exact duplicates after that are dropped.
+    Returns events sorted by (frame, class, azimuth, elevation).
 
     A file of digits, commas, minus signs and newlines is parsed whole by
     np.loadtxt, then checked column by column. Any other byte, any parse
@@ -214,11 +216,29 @@ def _read_label_columns(path, n_classes: int = N_CLASSES) -> tuple:
         if (frame.min() >= 0 and class_id.min() >= 0 and class_id.max() < n_classes
                 and el.min() >= -90 and el.max() < 90):
             az = normalize_azimuth(az.astype(np.float64))
-            el = el.astype(np.float64)
             order = np.lexsort((el, az, class_id, frame))
             columns = [col[order] for col in (frame, class_id, az, el)]
-            return tuple(col[_first_of_runs(*columns)] for col in columns)
-    return _as_columns(_read_label_rows(path, n_classes))
+            return Events(*(col[_first_of_runs(*columns)] for col in columns))
+    return Events.of(_read_label_rows(path, n_classes))
+
+
+def write_label_csv(events, path) -> None:
+    """Write events (an Events or Event rows) as frame,class,0,azimuth,
+    elevation integer rows.
+
+    Azimuth/elevation are rounded to whole degrees for emission (full
+    precision stays with the in-memory events); azimuth is re-wrapped after
+    rounding and elevation is clamped to [-90, 89] so the file always
+    re-reads cleanly. np.rint rounds half to even, like Python's round.
+    """
+    events = Events.of(events)
+    if not (np.isfinite(events.azimuth).all() and np.isfinite(events.elevation).all()):
+        raise SeldkitError("refusing to write a non-finite direction")
+    az = normalize_azimuth(np.rint(events.azimuth)).astype(np.int64)
+    el = np.clip(np.rint(events.elevation), -90, 89).astype(np.int64)
+    rows = zip(events.frame.tolist(), events.class_id.tolist(), az.tolist(), el.tolist())
+    blob = "".join(f"{f},{c},0,{a},{e}\n" for f, c, a, e in rows)
+    _atomic_write_bytes(path, blob.encode("utf-8"))
 
 
 def _first_of_runs(*columns) -> np.ndarray:
@@ -230,7 +250,8 @@ def _first_of_runs(*columns) -> np.ndarray:
 
 
 def _read_label_rows(path, n_classes: int) -> list:
-    """read_label_csv through the csv module, one row at a time."""
+    """read_label_csv through the csv module, one row at a time, as a
+    sorted Event list."""
     events = []
     seen = set()
     with _open_text_input(path) as fh:
@@ -243,36 +264,25 @@ def _read_label_rows(path, n_classes: int) -> list:
                 frame, class_id, _source, az, el = (int(v) for v in row)
             except ValueError as exc:
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-            if frame < 0:
-                raise MalformedRow(f"{path}:{lineno}: negative frame {frame}")
+            if not 0 <= frame < 2 ** 63:
+                raise MalformedRow(f"{path}:{lineno}: frame {frame} outside [0, 2^63)")
             if not 0 <= class_id < n_classes:
                 raise ClassOutOfRange(
                     f"{path}:{lineno}: class {class_id} outside [0, {n_classes})"
                 )
             if not -90 <= el < 90:
                 raise MalformedRow(f"{path}:{lineno}: elevation {el} outside [-90, 90)")
-            event = Event(frame, class_id, normalize_azimuth(float(az)), float(el))
+            try:
+                az = normalize_azimuth(float(az))
+            except OverflowError as exc:
+                raise MalformedRow(
+                    f"{path}:{lineno}: azimuth beyond the float range") from exc
+            event = Event(frame, class_id, az, float(el))
             if event not in seen:
                 seen.add(event)
                 events.append(event)
     events.sort()
     return events
-
-
-def _write_label_columns(columns, path) -> None:
-    """write_label_csv from columns.
-
-    np.rint rounds half to even like Python's round, so the bytes match
-    rounding each event on its own.
-    """
-    frame, class_id, az, el = columns
-    if not (np.isfinite(az).all() and np.isfinite(el).all()):
-        raise SeldkitError("refusing to write a non-finite direction")
-    az = normalize_azimuth(np.rint(az)).astype(np.int64)
-    el = np.clip(np.rint(el), -90, 89).astype(np.int64)
-    lines = [f"{f},{c},0,{a},{e}\n" for f, c, a, e in
-             zip(frame.tolist(), class_id.tolist(), az.tolist(), el.tolist())]
-    _atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
 def write_feature_file(tensor: np.ndarray, path) -> None:

@@ -13,10 +13,10 @@ micro the ratio of the class sums. LE and LR ignore the 20 degree gate:
 they score every matched pair, which is what makes them class-dependent
 rather than location-dependent.
 
-The public functions take Event lists; inside, events travel as private
-(frame, class_id, azimuth, elevation) columns, which the CLI reads and
-decodes straight into. All cells of a call are grouped by one sort, their
-cost entries come from one stacked matmul, and the tallies from bincount.
+The public functions take events as a dataset_io.Events, the columns that
+read_label_csv and decode return, or as any iterable of Event. All cells
+of a call are grouped by one sort, their cost entries come from one
+stacked matmul, and the tallies from bincount.
 The float sums run in a fixed order: each class's angle sum adds its
 matched angles cell by cell in segment order (pred row order within a
 cell), and macro means and micro sums take the classes in ascending id.
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .accdoa import _decode_columns, _row_norms, _unit_vectors
-from .dataset_io import _as_columns, _first_of_runs
+from .accdoa import _row_norms, _unit_vectors, decode
+from .dataset_io import Events, _first_of_runs
 from .errors import ZeroVector
 
 SEGMENT_LABEL_FRAMES = 10
@@ -108,7 +108,7 @@ def segment_events(events, segment_len: int = SEGMENT_LABEL_FRAMES) -> dict:
     source holding one direction across a whole segment contributes a
     single DoA to its cell.
     """
-    segment, class_id, az, el = _segment_columns(_as_columns(events), segment_len)
+    segment, class_id, az, el = _segment_columns(Events.of(events), segment_len)
     cells = {}
     for cell_doa in zip(segment.tolist(), class_id.tolist(), az.tolist(), el.tolist()):
         cells.setdefault(cell_doa[:2], []).append(cell_doa[2:])
@@ -131,15 +131,15 @@ def match_cell(pred_doas, ref_doas) -> tuple:
     return pairs, len(pred) - len(pairs), len(ref) - len(pairs)
 
 
-def _segment_columns(columns, segment_len: int) -> tuple:
+def _segment_columns(events: Events, segment_len: int) -> tuple:
     """(segment, class_id, azimuth, elevation) of the distinct DoAs of each
     (segment, class) cell, sorted by segment, class, azimuth, elevation."""
     if not segment_len >= 1:
         raise ValueError(f"segment_len must be at least 1, got {segment_len}")
-    frame, class_id, az, el = columns
-    segment = frame // segment_len
-    order = np.lexsort((el, az, class_id, segment))
-    cols = [col[order] for col in (segment, class_id, az, el)]
+    segment = events.frame // segment_len
+    cols = (segment, events.class_id, events.azimuth, events.elevation)
+    order = np.lexsort(cols[::-1])
+    cols = [col[order] for col in cols]
     return tuple(col[_first_of_runs(*cols)] for col in cols)
 
 
@@ -189,15 +189,16 @@ def compute_seld_scores(preds, refs,
                         spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
                         segment_len: int = SEGMENT_LABEL_FRAMES,
                         average: str = "macro") -> SeldScores:
-    """Score predicted events against references.
+    """Score predicted events against references, each an Events or an
+    iterable of Event.
 
     Empty references leave ER without a denominator: er is then 0.0 with
     er_undefined set. When both sides are empty every score is perfect by
     convention (0, 100, 0, 100).
     """
-    scorer = _reference_scorer(_as_columns(refs), spatial_threshold,
+    scorer = _reference_scorer(Events.of(refs), spatial_threshold,
                                segment_len, average)
-    return scorer(_as_columns(preds))
+    return scorer(Events.of(preds))
 
 
 def threshold_sweep(accdoa_pred, refs, thresholds=_SWEEP_THRESHOLDS,
@@ -208,22 +209,15 @@ def threshold_sweep(accdoa_pred, refs, thresholds=_SWEEP_THRESHOLDS,
     all thresholds. Returns [(threshold, SeldScores)] in the given
     threshold order.
     """
-    return _threshold_sweep(accdoa_pred, _as_columns(refs), thresholds,
-                            **score_kwargs)
-
-
-def _threshold_sweep(accdoa_pred, ref_columns, thresholds=_SWEEP_THRESHOLDS,
-                     **score_kwargs) -> list:
-    """threshold_sweep against reference columns."""
-    score = _reference_scorer(ref_columns, **score_kwargs)
-    return [(thr, score(_decode_columns(accdoa_pred, thr))) for thr in thresholds]
+    score = _reference_scorer(Events.of(refs), **score_kwargs)
+    return [(thr, score(decode(accdoa_pred, thr))) for thr in thresholds]
 
 
 def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
                       segment_len: int = SEGMENT_LABEL_FRAMES,
                       average: str = "macro"):
-    """Segment and convert reference columns once; return a function from
-    prediction columns to SeldScores."""
+    """Segment and convert the reference Events once; return a function
+    from prediction Events to SeldScores."""
     if average not in ("macro", "micro"):
         raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
     ref_segment, ref_class, ref_vecs = _cell_vectors(refs, segment_len)
@@ -293,14 +287,14 @@ def _cells_of_both(pred, ref) -> tuple:
             np.bincount(cell_of[n_pred:], minlength=n_cells))
 
 
-def _cell_vectors(columns, segment_len: int) -> tuple:
+def _cell_vectors(events: Events, segment_len: int) -> tuple:
     """(segment, class_id, unit vectors) of each cell's distinct DoAs, as
     sorted by _segment_columns.
 
     All DoAs of the call are converted at once, so an elevation outside
     [-90, 90] anywhere among the events is rejected.
     """
-    segment, class_id, az, el = _segment_columns(columns, segment_len)
+    segment, class_id, az, el = _segment_columns(events, segment_len)
     return segment, class_id, _unit_vectors(np.stack((az, el), axis=-1))
 
 

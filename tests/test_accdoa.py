@@ -150,7 +150,7 @@ class TestDecode:
         tensor = np.zeros((3, 13, 4))
         tensor[:, 2, 1] = 0.6 * doa_to_unit_vector(30.0, -10.0)
         tensor[:, 5, 3] = 0.5 * doa_to_unit_vector(0.0, 0.0)
-        events = decode(tensor, threshold=0.5)
+        events = list(decode(tensor, threshold=0.5))
         # norm 0.5 sits exactly on the threshold and stays silent
         assert [(e.frame, e.class_id) for e in events] == [(1, 2)]
         assert_allclose((events[0].azimuth, events[0].elevation), (30.0, -10.0),
@@ -158,7 +158,7 @@ class TestDecode:
 
     def test_threshold_one_silences_unit_vectors(self):
         tensor = encode([Event(0, 0, 10.0, 5.0)], 1)
-        assert decode(tensor, threshold=1.0) == []
+        assert list(decode(tensor, threshold=1.0)) == []
 
     def test_sorted_by_frame_then_class(self):
         tensor = encode(
@@ -177,7 +177,7 @@ class TestDecode:
             for t in (tensor, np.zeros((3, 13, 4))):
                 with pytest.raises(SeldkitError, match="1e-09"):
                     decode(t, threshold=threshold)
-        events = decode(tensor, threshold=1e-9)
+        events = list(decode(tensor, threshold=1e-9))
         assert [(e.frame, e.class_id) for e in events] == [(2, 1)]
         assert_allclose(events[0].azimuth, 90.0, atol=1e-9)
 

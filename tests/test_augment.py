@@ -725,7 +725,7 @@ class TestAugmentPipeline:
         for seed in range(800):
             _, out_l = augment_pipeline((feats, labs), None, config,
                                         make_rng(seed))
-            got = decode(out_l)
+            got = list(decode(out_l))
             assert len(got) == 1
             key = (round(got[0].azimuth), round(got[0].elevation))
             counts[targets[key]] += 1

@@ -74,7 +74,7 @@ class TestEncodeDecodeCmd:
         assert rc == 0
         out = capsys.readouterr().out
         assert out == f"wrote {csv_out} ({len(events)} events at threshold 0.5)\n"
-        assert read_label_csv(csv_out) == read_label_csv(csv_in)
+        assert list(read_label_csv(csv_out)) == list(read_label_csv(csv_in))
 
     def test_decode_threshold_flag(self, tmp_path, capsys):
         events = nonempty_events(1)
@@ -85,7 +85,7 @@ class TestEncodeDecodeCmd:
                        "--out", str(csv_out)])
         assert rc == 0
         assert "(0 events at threshold 1.5)" in capsys.readouterr().out
-        assert read_label_csv(csv_out) == []
+        assert list(read_label_csv(csv_out)) == []
 
     def test_encode_rejects_out_of_range_frame(self, tmp_path, capsys):
         csv_in = tmp_path / "ref.csv"
@@ -556,6 +556,26 @@ class TestAugmentCmd:
         assert not (tmp_path / "of.slsa").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cs-prob", "abc"),
+        ("--ps-range", "2.5"),
+        ("--seed", "1.5"),
+        ("--mode", "fs"),
+        ("--tm-ratio-max", "1"),
+    ])
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag, value):
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=18)
+        rc = cli.main(["augment", "--features", str(f_in),
+                       "--labels", str(l_in),
+                       "--out-features", str(tmp_path / "of.slsa"),
+                       "--out-labels", str(tmp_path / "ol.slsa"), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert value in err
+        assert not (tmp_path / "of.slsa").exists()
+
+
 class TestGradcheckCmd:
     def test_default_run_passes(self, capsys):
         rc = cli.main(["gradcheck"])
@@ -672,7 +692,7 @@ class TestEnsembleCmd:
                        "--csv", str(csv_out)])
         assert rc == 0
         assert f"wrote {csv_out}" in capsys.readouterr().out
-        assert read_label_csv(csv_out) == events
+        assert list(read_label_csv(csv_out)) == events
 
     def test_mismatched_shapes(self, tmp_path, capsys):
         p1 = tmp_path / "t1.slsa"
@@ -754,6 +774,7 @@ BAD_INPUTS = {
     "random_ascii": bytes(np.random.default_rng(2025).integers(9, 127, 512,
                                                               dtype=np.uint8)),
     "huge_field": b"x" * 200_000 + b"\n",
+    "huge_int": b"0,1,0," + b"9" * 400 + b",5\n",
 }
 
 

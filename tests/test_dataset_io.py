@@ -11,6 +11,7 @@ from scipy.io import wavfile
 import helpers
 from seldkit import (
     Event,
+    Events,
     MultichannelClip,
     normalize_azimuth,
     read_feature_file,
@@ -26,6 +27,7 @@ from seldkit.errors import (
     MalformedRow,
     MalformedWav,
     SeldkitError,
+    ShapeMismatch,
     TooShort,
     TruncatedPayload,
     VersionMismatch,
@@ -162,11 +164,38 @@ class TestReadFoaWav:
             read_foa_wav(path)
 
 
+class TestEvents:
+    ROWS = [Event(0, 3, 30.0, -10.0), Event(2, 5, -120.5, 45.0)]
+
+    def test_rows_round_trip_through_columns(self):
+        events = Events.of(iter(self.ROWS))
+        assert len(events) == 2
+        assert list(events) == list(events) == self.ROWS
+        assert [col.dtype for col in (events.frame, events.class_id,
+                                      events.azimuth, events.elevation)] == [
+            np.int64, np.int64, np.float64, np.float64]
+        assert all(type(e.frame) is int and type(e.azimuth) is float for e in events)
+
+    def test_of_returns_events_unchanged(self):
+        events = Events.of(self.ROWS)
+        assert Events.of(events) is events
+
+    def test_empty(self):
+        events = Events.of([])
+        assert len(events) == 0 and not events and list(events) == []
+
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ShapeMismatch):
+            Events([0, 1], [0, 1], [0.0], [0.0, 0.0])
+        with pytest.raises(ShapeMismatch):
+            Events([[0]], [[0]], [[0.0]], [[0.0]])
+
+
 class TestReadLabelCsv:
     def test_basic_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,3,0,30,-10\n2,5,1,-120,45\n")
-        events = read_label_csv(path)
+        events = list(read_label_csv(path))
         assert events == [
             Event(0, 3, 30.0, -10.0),
             Event(2, 5, -120.0, 45.0),
@@ -180,7 +209,7 @@ class TestReadLabelCsv:
     def test_azimuth_wrapped_and_duplicates_dropped(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,1,0,190,5\n0,1,0,-170,5\n0,1,0,-170,5\n")
-        events = read_label_csv(path)
+        events = list(read_label_csv(path))
         assert events == [Event(0, 1, -170.0, 5.0)]
 
     def test_sorted_output(self, tmp_path):
@@ -192,7 +221,7 @@ class TestReadLabelCsv:
     def test_source_column_ignored(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,1,0,10,5\n1,1,7,10,5\n")
-        events = read_label_csv(path)
+        events = list(read_label_csv(path))
         assert len(events) == 2
         assert events[0].azimuth == events[1].azimuth == 10.0
 
@@ -225,6 +254,15 @@ class TestReadLabelCsv:
         with pytest.raises(MalformedRow):
             read_label_csv(path)
 
+    def test_integers_beyond_int64_and_float_range(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        for row in (b"9223372036854775808,1,0,10,5", b"0,1,0," + b"9" * 400 + b",5"):
+            path.write_bytes(b"0,1,0,10,5\n" + row + b"\n")
+            with pytest.raises(MalformedRow, match="labels.csv:2: "):
+                read_label_csv(path)
+        path.write_bytes(b"9223372036854775807,1,0,10,5\n")
+        assert list(read_label_csv(path)) == [Event(2 ** 63 - 1, 1, 10.0, 5.0)]
+
     def test_class_out_of_range(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,13,0,10,5\n")
@@ -253,7 +291,7 @@ class TestWriteLabelCsv:
             events = helpers.random_events(rng, n_frames=40, integer_angles=True)
             path = tmp_path / "out.csv"
             write_label_csv(events, path)
-            assert read_label_csv(path) == events
+            assert list(read_label_csv(path)) == events
 
     def test_rounding_and_clamping(self, tmp_path):
         events = [
@@ -263,7 +301,7 @@ class TestWriteLabelCsv:
         ]
         path = tmp_path / "out.csv"
         write_label_csv(events, path)
-        got = read_label_csv(path)
+        got = list(read_label_csv(path))
         # rounds to nearest degree, re-wraps azimuth, clamps elevation to 89
         assert got == [
             Event(0, 0, 10.0, 89.0),

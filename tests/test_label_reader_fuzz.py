@@ -1,17 +1,25 @@
-"""The label CSV reader's two paths agree on any bytes.
+"""The label CSV reader's two paths agree on any bytes, and the CLI
+commands that read label CSVs report bad bytes as input errors.
 
 read_label_csv parses a file of digits, commas, minus signs and newlines
 with np.loadtxt and sends everything else through the csv module. Both
-must return the same events, or raise the same error with the same
+must return the same events, or raise the same input error with the same
 message, whatever the file holds.
 """
 
+import contextlib
+import io
 import warnings
 
 import pytest
 
-from seldkit import Event, dataset_io
-from seldkit.dataset_io import _read_label_rows, read_label_csv
+from seldkit import Event, SeldkitError, cli, dataset_io, encode
+from seldkit.dataset_io import (
+    _read_label_rows,
+    read_label_csv,
+    write_feature_file,
+    write_label_csv,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -39,12 +47,24 @@ BLOB = st.one_of(
     st.text(alphabet="0123456789,-\n", max_size=60).map(str.encode),
     st.binary(max_size=40),
 )
+# files of clean rows where some rows have one field swapped for an
+# integer of 300 or more digits, far beyond int64 and, as an azimuth,
+# beyond the float range
+HUGE = st.tuples(st.sampled_from(["", "-"]), st.sampled_from("19"),
+                 st.integers(300, 400)).map(lambda t: t[0] + t[1] * t[2])
+HUGE_ROW = st.tuples(CLEAN_ROW, st.integers(0, 4), HUGE).map(
+    lambda t: ",".join(t[2] if k == t[1] else str(v) for k, v in enumerate(t[0])))
+HUGE_BLOB = st.lists(
+    st.one_of(HUGE_ROW, CLEAN_ROW.map(lambda row: ",".join(map(str, row)))),
+    min_size=1, max_size=6).map(lambda rows: "\n".join(rows).encode())
+HUGE_AZIMUTH = b"0,1,0," + b"9" * 400 + b",5\n"
+FRAME_2_63 = b"9223372036854775808,0,0,10,5\n"
 
 
 def outcome(read, path):
     """The events read returns, or the class and message of its error."""
     try:
-        return read(path)
+        return list(read(path))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -60,6 +80,9 @@ def outcome(read, path):
 @example(b"0,1,0,10\n2,1,0,10\n")
 @example(b"0,1,0,10,5,\n")
 @example(b"")
+# two that neither path may read: an int64 reader has no room for them
+@example(HUGE_AZIMUTH)
+@example(FRAME_2_63)
 # and two that both read
 @example(b"0,3,0,30,-10\n2,5,1,-120,45\n0,3,0,-330,-10\n")
 @example(b"0,1,0,190,5\r\n0,1,0,-170,5\r\n")
@@ -70,6 +93,10 @@ def test_fast_reader_matches_csv_reader(tmp_path_factory, blob):
         warnings.simplefilter("error")  # an empty file must not warn either
         fast = outcome(read_label_csv, path)
     assert fast == outcome(lambda p: _read_label_rows(p, 13), path)
+    if isinstance(fast, tuple):
+        assert issubclass(fast[0], SeldkitError), fast
+    else:
+        assert all(0 <= e.frame < 2 ** 63 for e in fast)
 
 
 def test_clean_file_takes_the_array_path(tmp_path, monkeypatch):
@@ -79,7 +106,38 @@ def test_clean_file_takes_the_array_path(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset_io, "_read_label_rows", no_fallback)
     path = tmp_path / "labels.csv"
     path.write_bytes(b"\n5,2,0,190,0\n1,9,3,0,-90\n\n5,2,1,-170,0\n1,2,0,0,89")
-    assert read_label_csv(path) == [
+    assert list(read_label_csv(path)) == [
         Event(1, 2, 0.0, 89.0), Event(1, 9, 0.0, -90.0),
         Event(5, 2, -170.0, 0.0),
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(BLOB, HUGE_BLOB))
+@example(HUGE_AZIMUTH)
+@example(FRAME_2_63)
+def test_cli_label_inputs_exit_zero_or_one(tmp_path_factory, blob):
+    """encode, score (the file as pred and as ref) and score --sweep (as
+    ref) exit 0, or 1 with a single error line; never 2."""
+    d = tmp_path_factory.getbasetemp() / "cli_label_fuzz"
+    d.mkdir(exist_ok=True)
+    labels, ref, tensor, out = (d / name for name in
+                                ("in.csv", "ref.csv", "pred.slsa", "out.slsa"))
+    labels.write_bytes(blob)
+    write_label_csv([Event(0, 1, 10.0, 5.0), Event(3, 2, -40.0, 20.0)], ref)
+    write_feature_file(encode(read_label_csv(ref), 20), tensor)
+    for argv in (["encode", labels, "--frames", "20", "--out", out],
+                 ["score", labels, ref], ["score", ref, labels],
+                 ["score", tensor, labels, "--sweep"]):
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = cli.main([str(arg) for arg in argv])
+        err = err.getvalue()
+        assert rc in (0, 1), (argv, err)
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""

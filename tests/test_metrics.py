@@ -9,11 +9,13 @@ import helpers
 import oracles
 from seldkit import (
     Event,
+    Events,
     angular_distance,
     compute_seld_scores,
     decode,
     doa_to_unit_vector,
     encode,
+    enumerate_swap_patterns,
     match_cell,
     segment_events,
     threshold_sweep,
@@ -488,6 +490,52 @@ class TestRowOrderInvariance:
             assert reports(pred_2, ref_2) == want
             assert compute_seld_scores(read_label_csv(pred_2),
                                        read_label_csv(ref_2)) == want_scores
+
+
+class TestSwapPatternInvariance:
+    """The 16 swap patterns are rotations and reflections of the sphere, so
+    mapping both sides' DoAs by one of them keeps every angle between them
+    and so every score."""
+
+    @staticmethod
+    def scene(rng):
+        """Random refs and preds, with no pred/ref pair of a cell within
+        1e-6 degrees of the 20 degree gate, where rounding could flip it."""
+        while True:
+            refs = helpers.random_events(rng, 60, max_events=80)
+            preds = [Event(e.frame, e.class_id,
+                           e.azimuth + float(rng.uniform(-40.0, 40.0)), e.elevation)
+                     for e in refs if rng.random() < 0.8]
+            preds = sorted(set(preds + helpers.random_events(rng, 60, max_events=20)))
+            refs, preds = Events.of(refs), Events.of(preds)
+            pred_cells, ref_cells = segment_events(preds), segment_events(refs)
+            angles = [angular_distance(doa_to_unit_vector(*p), doa_to_unit_vector(*r))
+                      for cell, doas in pred_cells.items() for p in doas
+                      for r in ref_cells.get(cell, ())]
+            if all(abs(angle - 20.0) > 1e-6 for angle in angles):
+                return preds, refs
+
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_scores_agree_under_every_pattern(self, average):
+        rng = np.random.default_rng(46)
+        for _ in range(10):
+            preds, refs = self.scene(rng)
+            want = compute_seld_scores(preds, refs, average=average)
+            for pattern in enumerate_swap_patterns():
+                def mapped(events):
+                    az, el = zip(*map(pattern.map_doa, events.azimuth, events.elevation))
+                    return Events(events.frame, events.class_id, az, el)
+
+                got = compute_seld_scores(mapped(preds), mapped(refs), average=average)
+                assert [got.er, got.f1, got.le, got.lr] == pytest.approx(
+                    [want.er, want.f1, want.le, want.lr], rel=0, abs=1e-9)
+                assert got.er_undefined == want.er_undefined
+                for class_id, counts in want.per_class.items():
+                    c = got.per_class[class_id]
+                    assert (c.tp, c.fp, c.fn, c.n_matched, c.n_refs) == (
+                        counts.tp, counts.fp, counts.fn, counts.n_matched, counts.n_refs)
+                    assert c.angle_sum == pytest.approx(counts.angle_sum, rel=1e-12)
+                assert got.per_class.keys() == want.per_class.keys()
 
 
 class TestBoundariesAndTies:
