@@ -131,7 +131,8 @@ def read_foa_wav(path) -> MultichannelClip:
         raise WrongSampleRate(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
 
     if data.dtype in _INT_SCALE:
-        samples = data.astype(np.float64) / _INT_SCALE[data.dtype]
+        samples = data.astype(np.float64)
+        samples /= _INT_SCALE[data.dtype]
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
     else:

@@ -23,7 +23,8 @@ N_FREQ_BINS = 200
 SPEC_FLOOR = 1e-10
 
 _EPS_EIGVEC = 1e-9
-_BLOCK_FRAMES = 512
+_SMOOTH = (3, 3)
+_BLOCK_FRAMES = 128
 # (row, column) of the 10 lower-triangle entries of a 4x4 covariance
 _TRIL_A, _TRIL_B = np.tril_indices(4)
 
@@ -57,17 +58,30 @@ def stft(clip: MultichannelClip, window_len: int = STFT_WINDOW,
     Returns the complex (4, window_len/2+1, T) array of bins. Frame t
     covers samples [t*hop, t*hop + window_len), so
     T = floor((N - window_len)/hop) + 1 and the signal tail that does not
-    fill a window is dropped.
+    fill a window is dropped. Frames are windowed and transformed a block
+    at a time into the output, so no clip-sized frame array is built.
     """
-    samples = clip.samples
-    if samples.shape[1] < window_len:
-        raise TooShort(
-            f"clip has {samples.shape[1]} samples, window needs {window_len}"
-        )
+    n_t = _n_frames(clip.samples, window_len, hop)
     window = hann(window_len, sym=False)
-    frames = sliding_window_view(samples, window_len, axis=1)[:, ::hop]
-    spec = np.fft.rfft(frames * window, axis=2)
-    return spec.transpose(0, 2, 1)
+    spec = np.empty((len(clip.samples), window_len // 2 + 1, n_t), dtype=complex)
+    for _, start, stop, _ in _blocks(n_t):
+        spec[:, :, start:stop] = _stft_block(clip.samples, start, stop, window, hop)
+    return spec
+
+
+def _n_frames(samples: np.ndarray, window_len: int, hop: int) -> int:
+    n = samples.shape[1]
+    if n < window_len:
+        raise TooShort(f"clip has {n} samples, window needs {window_len}")
+    return (n - window_len) // hop + 1
+
+
+def _stft_block(samples: np.ndarray, start: int, stop: int,
+                window: np.ndarray, hop: int) -> np.ndarray:
+    """(C, len(window)/2+1, stop - start) bins of stft frames [start, stop)."""
+    chunk = samples[:, start * hop:(stop - 1) * hop + len(window)]
+    frames = sliding_window_view(chunk, len(window), axis=1)[:, ::hop]
+    return np.fft.rfft(frames * window, axis=2).transpose(0, 2, 1)
 
 
 def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS,
@@ -79,7 +93,7 @@ def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS,
 
 
 def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
-                          smooth: tuple = (3, 3)) -> np.ndarray:
+                          smooth: tuple = _SMOOTH) -> np.ndarray:
     """Direction estimate per TF bin of a stft array from the smoothed
     spatial covariance.
 
@@ -101,30 +115,46 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
 
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
+    x = np.asarray(spec)[:, :n_bins, :]
+    halos, counts = _smoothing(smooth, *x.shape[1:])
+    intensity = np.empty((3,) + x.shape[1:])
+    for lo, start, stop, hi in _blocks(x.shape[2], halos[1]):
+        intensity[:, :, start:stop] = _intensity_block(
+            x[:, :, lo:hi], lo, start, stop, halos, counts)
+    return intensity
+
+
+def _smoothing(smooth: tuple, n_f: int, n_t: int) -> tuple:
+    """Check smooth = (freq, time); return the window's (before, after) halo
+    per axis and the cells it covers at each bin and frame of the clip."""
     size_f, size_t = smooth
     if size_f < 1 or size_t < 1:
         raise SeldkitError(f"smoothing window must be positive, got {smooth}")
-    x = np.asarray(spec)[:, :n_bins, :]
-    n_f, n_t = x.shape[1:]
-    f_before, f_after = (size_f - 1) // 2, size_f // 2
-    t_before, t_after = (size_t - 1) // 2, size_t // 2
-    counts_f = _box_sum(np.ones(n_f), f_before, f_after, axis=0)
-    counts_t = _box_sum(np.ones(n_t), t_before, t_after, axis=0)
+    halos = [((size - 1) // 2, size // 2) for size in (size_f, size_t)]
+    return halos, [_box_sum(np.ones(n), *halo, axis=0)
+                   for n, halo in zip((n_f, n_t), halos)]
 
-    intensity = np.empty((3, n_f, n_t))
+
+def _blocks(n_t: int, halo: tuple = (0, 0)):
+    """(lo, start, stop, hi) per block [start, stop) of _BLOCK_FRAMES of n_t
+    frames; [lo, hi) adds a (before, after) halo, clipped to the clip."""
     for start in range(0, n_t, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, n_t)
-        lo, hi = max(start - t_before, 0), min(stop + t_after, n_t)
-        block = x[:, :, lo:hi]
-        sums = block[_TRIL_A] * block[_TRIL_B].conj()
-        sums = _box_sum(sums, f_before, f_after, axis=1)
-        sums = _box_sum(sums, t_before, t_after, axis=2)[:, :, start - lo:stop - lo]
-        mean = sums / (counts_f[:, None] * counts_t[start:stop])
-        cov = np.zeros((n_f, stop - start, 4, 4), dtype=mean.dtype)
-        cov[..., _TRIL_A, _TRIL_B] = np.moveaxis(mean, 0, -1)
-        _, vecs = np.linalg.eigh(cov)
-        intensity[:, :, start:stop] = _direction(vecs[..., :, -1])
-    return intensity
+        yield max(start - halo[0], 0), start, stop, min(stop + halo[1], n_t)
+
+
+def _intensity_block(block, lo: int, start: int, stop: int, halos: list,
+                     counts: list) -> np.ndarray:
+    """Intensity of frames [start, stop) from block, a stft array's frames
+    [lo, hi) of _blocks; halos and counts are the clip's _smoothing."""
+    sums = block[_TRIL_A] * block[_TRIL_B].conj()
+    sums = _box_sum(sums, *halos[0], axis=1)
+    sums = _box_sum(sums, *halos[1], axis=2)[:, :, start - lo:stop - lo]
+    mean = sums / (counts[0][:, None] * counts[1][start:stop])
+    cov = np.zeros((block.shape[1], stop - start, 4, 4), dtype=mean.dtype)
+    cov[..., _TRIL_A, _TRIL_B] = np.moveaxis(mean, 0, -1)
+    _, vecs = np.linalg.eigh(cov)
+    return _direction(vecs[..., :, -1])
 
 
 def _direction(u: np.ndarray) -> np.ndarray:
@@ -146,12 +176,21 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     """Full SALSA feature: (7, 200, T) float32.
 
     Channels 0..3 are log-linear spectrograms of (W, Y, Z, X); channels
-    4..6 the intensity vector (I_x, I_y, I_z).
+    4..6 the intensity vector (I_x, I_y, I_z). The pipeline runs per block
+    of time frames (plus the halo the smoothing window reads) straight
+    into the output, so only the clip and the output grow with clip
+    length; the bytes equal the three public stages composed and cast.
     """
-    spec = stft(clip)
-    return np.concatenate(
-        [log_linear_spectrogram(spec), eigenvector_intensity(spec)]
-    ).astype(np.float32)
+    n_t = _n_frames(clip.samples, STFT_WINDOW, STFT_HOP)
+    window = hann(STFT_WINDOW, sym=False)
+    halos, counts = _smoothing(_SMOOTH, N_FREQ_BINS, n_t)
+    out = np.empty((7, N_FREQ_BINS, n_t), dtype=np.float32)
+    for lo, start, stop, hi in _blocks(n_t, halos[1]):
+        spec = _stft_block(clip.samples, lo, hi, window, STFT_HOP)
+        out[:4, :, start:stop] = log_linear_spectrogram(spec[..., start - lo:stop - lo])
+        out[4:, :, start:stop] = _intensity_block(spec[:, :N_FREQ_BINS], lo, start,
+                                                  stop, halos, counts)
+    return out
 
 
 def compute_norm_stats(tensors) -> NormStats:

@@ -123,9 +123,15 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
                           grad_y) -> tuple:
     """Exact gradients of multi_dim_se_forward: (grad_x, frequency
     parameter gradients, channel parameter gradients)."""
-    x = _as_tensor3(x)
+    x_in = np.asarray(x)
+    x = _as_tensor3(x_in)
     grad_y = _as_grad(grad_y, x)
     freq_cache = _se(x, p_freq, "freq")
+    if x_in.dtype == np.float32:
+        # float32 widens to float64 exactly where the cache is read, so it
+        # holds the caller's array and the float64 copy goes here
+        freq_cache = (x_in, *freq_cache[1:])
+        del x
     chan_cache = _se(_gate(freq_cache), p_chan, "channel")
     grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y)
     grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner)

@@ -129,6 +129,35 @@ class TestReadFoaWav:
         assert clip.samples[1, 0] == (2 ** 31 - 1) / 2 ** 31
         assert clip.samples[2, 0] == 0.5
 
+    @pytest.mark.parametrize("kind", ["int16", "int24", "int32", "float32"])
+    def test_bytes_equal_whole_array_scaling(self, tmp_path, kind):
+        # the reader scales integer PCM in place; the bytes must equal
+        # those of astype(float64) / scale over the whole array
+        rng = np.random.default_rng(19)
+        path = tmp_path / "clip.wav"
+        if kind == "float32":
+            wavfile.write(path, 24000, rng.uniform(-1, 1, (700, 4)).astype(np.float32))
+        elif kind == "int24":
+            raw = rng.integers(-2 ** 23, 2 ** 23, (700, 4)).astype("<i4")
+            raw[0] = [-2 ** 23, 2 ** 23 - 1, 1, -1]
+            payload = raw.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+            path.write_bytes(
+                b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVEfmt "
+                + struct.pack("<IHHIIHH", 16, 1, 4, 24000, 24000 * 12, 12, 24)
+                + b"data" + struct.pack("<I", len(payload)) + payload)
+        else:
+            info = np.iinfo(kind)
+            raw = rng.integers(info.min, info.max, (700, 4), endpoint=True, dtype=kind)
+            raw[0] = [info.min, info.max, 1, -1]
+            wavfile.write(path, 24000, raw)
+        _, data = wavfile.read(path)
+        want = data.astype(np.float64)
+        if kind != "float32":
+            want = want / 2.0 ** (8 * data.itemsize - 1)
+            assert want.min() == -1.0
+        got = read_foa_wav(path).samples
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T).tobytes()
+
     def test_wrong_channel_count_checked_before_rate(self, tmp_path):
         path = tmp_path / "stereo48k.wav"
         wavfile.write(path, 48000, np.zeros((600, 2), dtype=np.int16))

@@ -7,9 +7,13 @@ its bin and N/8 at the two neighbors, i.e. exactly 2/3 of the energy in
 the center bin and all of it within one bin either side.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal.windows import hann
 
 import helpers
 import oracles
@@ -79,6 +83,24 @@ class TestStft:
         clip = MultichannelClip(np.zeros((4, 512)))
         with pytest.raises(TooShort):
             stft(clip, window_len=600)
+
+    @pytest.mark.parametrize("n_samples", [512, 812, 24077])
+    @pytest.mark.parametrize("window_len, hop", [(512, 300), (400, 160)])
+    def test_block_size_never_changes_output(self, n_samples, window_len, hop,
+                                             monkeypatch):
+        # frames are transformed a block at a time; every block size must
+        # give the bits of one rfft over all the clip's frames
+        clip = helpers.make_noise_clip(n_samples=n_samples, seed=20)
+        frames = sliding_window_view(clip.samples, window_len, axis=1)[:, ::hop]
+        want = np.fft.rfft(frames * hann(window_len, sym=False), axis=2)
+        want = want.transpose(0, 2, 1)
+        n_t = want.shape[2]
+        for block in (1, 2, 7, n_t - 1, n_t, features._BLOCK_FRAMES):
+            if block < 1:
+                continue
+            monkeypatch.setattr(features, "_BLOCK_FRAMES", block)
+            assert_array_equal(stft(clip, window_len, hop), want,
+                               err_msg=f"block {block}")
 
 
 class TestLogLinearSpectrogram:
@@ -242,6 +264,39 @@ class TestSalsa:
     def test_two_seconds_of_audio(self):
         clip = helpers.make_noise_clip(n_samples=48000, seed=14)
         assert salsa(clip).shape == (7, 200, 159)
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 79, 801])
+    def test_block_size_never_changes_output(self, n_frames, monkeypatch):
+        # salsa streams stft, log-spectrogram and intensity a block (plus
+        # its smoothing halo) at a time; every block size must give the
+        # bits of the public stages run on the whole clip
+        n_samples = 512 + 300 * (n_frames - 1) + 41
+        clip = helpers.make_noise_clip(n_samples=n_samples, seed=21)
+        spec = stft(clip)
+        want = np.concatenate(
+            [log_linear_spectrogram(spec), eigenvector_intensity(spec)]
+        ).astype(np.float32)
+        for block in (1, 2, 7, n_frames - 1, n_frames, features._BLOCK_FRAMES):
+            if block < 1:
+                continue
+            monkeypatch.setattr(features, "_BLOCK_FRAMES", block)
+            assert_array_equal(salsa(clip), want, err_msg=f"block {block}")
+
+    def test_working_memory_does_not_grow_with_clip_length(self):
+        # beyond the clip and its (7, 200, T) output, salsa holds one block
+        # of frames at a time, so a 60 s clip peaks where a 20 s one does
+        extra = []
+        for seconds in (20, 60):
+            clip = helpers.make_noise_clip(n_samples=24000 * seconds, seed=22)
+            tracemalloc.start()
+            try:
+                out = salsa(clip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        assert extra[1] <= 64 * 2 ** 20
+        assert abs(extra[1] - extra[0]) <= 0.05 * extra[0]
 
 
 class TestNormStats:

@@ -212,6 +212,21 @@ class TestMultiDim:
         out = multi_dim_se_forward(x, zero_params(6, 2), zero_params(4, 2))
         assert_array_equal(out, 0.25 * x)
 
+    def test_float32_backward_equals_its_float64_widening(self):
+        # the backward caches a float32 input as given; widening is exact,
+        # so every gradient keeps the bits of the float64 input's
+        rng = rng_for(18)
+        x = rng.standard_normal((4, 8, 5)).astype(np.float32)
+        p_freq, p_chan = random_params(rng, 8, 2), random_params(rng, 4, 2)
+        grad_y = rng.standard_normal(x.shape)
+        got = se_block.multi_dim_se_backward(x, p_freq, p_chan, grad_y)
+        want = se_block.multi_dim_se_backward(x.astype(np.float64), p_freq,
+                                              p_chan, grad_y)
+        assert_array_equal(got[0], want[0])
+        for g, w in zip(got[1].as_arrays() + got[2].as_arrays(),
+                        want[1].as_arrays() + want[2].as_arrays()):
+            assert_array_equal(g, w)
+
 
 class TestBackwardBasics:
     def test_zero_upstream_gradient(self):
