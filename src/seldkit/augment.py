@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -25,6 +26,7 @@ from .errors import (
     SeldkitError,
     ShapeMismatch,
     ShiftOutOfRange,
+    TooShort,
 )
 from .accdoa import FEATURE_FRAMES_PER_LABEL_FRAME as FRAMES_PER_LABEL
 from .dataset_io import MultichannelClip, _open_text_input, normalize_azimuth
@@ -53,7 +55,10 @@ class SwapPattern:
     e: int
 
     def __post_init__(self):
-        if self.s not in (1, -1) or self.e not in (1, -1) or self.k not in range(4):
+        # 1.0 and True equal 1, but only integers index the matrix tables
+        allowed = ((self.s, (1, -1)), (self.k, range(4)), (self.e, (1, -1)))
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   and v in ok for v, ok in allowed):
             raise SeldkitError(f"invalid pattern (s={self.s}, k={self.k}, e={self.e})")
 
     @property
@@ -105,16 +110,16 @@ def channel_swap(features, labels, pattern: SwapPattern) -> tuple:
     if pattern.swaps_xy:
         out_f[1] = feats[3]
         out_f[3] = feats[1]
-    (m_xx, m_xy), (m_yx, m_yy) = pattern.xy_matrix
-    out_f[4] = m_xx * feats[4] + m_xy * feats[5]
-    out_f[5] = m_yx * feats[4] + m_yy * feats[5]
-    out_f[6] = pattern.z_sign * feats[6]
-
+    out_f[4], out_f[5], out_f[6] = _map_xyz(pattern, *feats[4:])
     out_l = np.empty_like(labs)
-    out_l[0] = m_xx * labs[0] + m_xy * labs[1]
-    out_l[1] = m_yx * labs[0] + m_yy * labs[1]
-    out_l[2] = pattern.z_sign * labs[2]
+    out_l[0], out_l[1], out_l[2] = _map_xyz(pattern, *labs)
     return out_f, out_l
+
+
+def _map_xyz(pattern: SwapPattern, x, y, z) -> tuple:
+    """(x', y', z') of Cartesian components under the pattern's signed map."""
+    (m_xx, m_xy), (m_yx, m_yy) = pattern.xy_matrix
+    return m_xx * x + m_xy * y, m_yx * x + m_yy * y, pattern.z_sign * z
 
 
 def apply_pattern_to_waveform(clip: MultichannelClip,
@@ -125,18 +130,8 @@ def apply_pattern_to_waveform(clip: MultichannelClip,
     same matrix that maps label vectors maps the waveform channels.
     """
     w, y, z, x = clip.samples
-    (m_xx, m_xy), (m_yx, m_yy) = pattern.xy_matrix
-    return MultichannelClip(
-        np.stack(
-            [
-                w,
-                m_yx * x + m_yy * y,
-                pattern.z_sign * z,
-                m_xx * x + m_xy * y,
-            ]
-        ),
-        clip.sample_rate,
-    )
+    x, y, z = _map_xyz(pattern, x, y, z)
+    return MultichannelClip(np.stack([w, y, z, x]), clip.sample_rate)
 
 
 def pitch_shift(features, shift_bins: int, max_shift: int = 10) -> np.ndarray:
@@ -193,6 +188,8 @@ def time_mask(features, labels, start_frame: int, mask_len: int,
     start = int(start_frame)
     length = int(mask_len)
     n_frames = feats.shape[2]
+    if n_frames == 0:
+        raise TooShort("no frames to mask: the mask ratio is undefined")
     if start < 0 or start + length > n_frames:
         raise FrameOutOfRange(
             f"mask [{start}, {start + length}) exceeds [0, {n_frames})"
@@ -358,6 +355,8 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     feats = np.array(feats)
     labs = np.array(labs)
     _check_time_alignment(feats, labs)
+    if labs.shape[2] == 0:
+        raise TooShort("no label frames to augment")
 
     if config.mode == "all":
         warnings.warn(

@@ -173,9 +173,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    feats = read_feature_file(args.features)
-    labs = read_feature_file(args.labels).astype(np.float64)
-    feats = _trim_to_labels(feats, labs.shape[2])
+    feats, labs = _read_pair(args.features, args.labels)
 
     mapping = augment.parse_config_file(args.config) if args.config else {}
     for key in augment._CONFIG_TYPES:
@@ -189,9 +187,7 @@ def cmd_augment(args) -> int:
         )
     partner = None
     if args.partner_features:
-        p_feats = read_feature_file(args.partner_features)
-        p_labs = read_feature_file(args.partner_labels).astype(np.float64)
-        partner = (_trim_to_labels(p_feats, p_labs.shape[2]), p_labs)
+        partner = _read_pair(args.partner_features, args.partner_labels)
 
     out_f, out_l = augment.augment_pipeline(
         (feats, labs), partner, config, augment.make_rng(seed)
@@ -291,19 +287,25 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _trim_to_labels(feats: np.ndarray, n_label_frames: int) -> np.ndarray:
-    """Drop the tail feature frames that do not fill a label frame.
+def _read_pair(features_path, labels_path) -> tuple:
+    """Read 3-D finite features and labels (as float64); drop the tail
+    feature frames that do not fill a label frame.
 
     A clip whose sample count is not a multiple of the hop leaves up to 7
     spare STFT frames; anything beyond that is a real misalignment.
     """
-    need = accdoa.FEATURE_FRAMES_PER_LABEL_FRAME * n_label_frames
+    feats = read_feature_file(features_path)
+    labs = read_feature_file(labels_path).astype(np.float64)
+    for path, arr in ((features_path, feats), (labels_path, labs)):
+        if arr.ndim != 3 or not np.isfinite(arr).all():
+            raise SeldkitError(f"{path}: not a finite 3-D tensor (shape {arr.shape})")
+    need = accdoa.FEATURE_FRAMES_PER_LABEL_FRAME * labs.shape[2]
     have = feats.shape[2]
     if have < need or have - need >= accdoa.FEATURE_FRAMES_PER_LABEL_FRAME:
         raise ShapeMismatch(
-            f"{have} feature frames cannot serve {n_label_frames} label frames"
+            f"{have} feature frames cannot serve {labs.shape[2]} label frames"
         )
-    return feats[:, :, :need]
+    return feats[:, :, :need], labs
 
 
 if __name__ == "__main__":

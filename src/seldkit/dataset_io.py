@@ -107,7 +107,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list = field(default_factory=list)
-    n_classes: int = N_CLASSES
 
 
 def read_foa_wav(path) -> MultichannelClip:
@@ -217,9 +216,7 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
         if (frame.min() >= 0 and class_id.min() >= 0 and class_id.max() < n_classes
                 and el.min() >= -90 and el.max() < 90):
             az = normalize_azimuth(az.astype(np.float64))
-            order = np.lexsort((el, az, class_id, frame))
-            columns = [col[order] for col in (frame, class_id, az, el)]
-            return Events(*(col[_first_of_runs(*columns)] for col in columns))
+            return Events(*_sorted_unique(frame, class_id, az, el))
     return Events.of(_read_label_rows(path, n_classes))
 
 
@@ -240,6 +237,14 @@ def write_label_csv(events, path) -> None:
     rows = zip(events.frame.tolist(), events.class_id.tolist(), az.tolist(), el.tolist())
     blob = "".join(f"{f},{c},0,{a},{e}\n" for f, c, a, e in rows)
     _atomic_write_bytes(path, blob.encode("utf-8"))
+
+
+def _sorted_unique(*columns) -> tuple:
+    """The rows sorted by the first column, then the next, repeats dropped."""
+    order = np.lexsort(columns[::-1])
+    columns = [col[order] for col in columns]
+    first = _first_of_runs(*columns)
+    return tuple(col[first] for col in columns)
 
 
 def _first_of_runs(*columns) -> np.ndarray:
@@ -328,7 +333,7 @@ def read_feature_file(path) -> np.ndarray:
     return data.reshape(dims).copy()
 
 
-def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
+def read_manifest(path) -> DatasetManifest:
     """Read a dataset manifest CSV with header audio_path,label_path,split.
 
     Each clip's features are written as <audio stem>.slsa, so two rows whose
@@ -359,7 +364,7 @@ def read_manifest(path, n_classes: int = N_CLASSES) -> DatasetManifest:
                 )
             stem_lines[stem] = lineno
             entries.append(ManifestEntry(audio, label, row["split"].strip()))
-    return DatasetManifest(entries, n_classes)
+    return DatasetManifest(entries)
 
 
 @contextmanager

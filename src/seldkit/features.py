@@ -193,6 +193,7 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     return out
 
 
+@np.errstate(invalid="ignore", over="ignore")  # NormStats rejects what they make
 def compute_norm_stats(tensors) -> NormStats:
     """Fit per-(channel, frequency) mean/std over the time frames of a set
     of feature tensors.
@@ -204,7 +205,7 @@ def compute_norm_stats(tensors) -> NormStats:
     total = None
     total_sq = None
     for tensor in tensors:
-        arr = np.asarray(tensor, dtype=np.float64)
+        arr = np.asarray(tensor)
         if arr.ndim != 3:
             raise ShapeMismatch(f"expected (C, F, T) tensors, got {arr.shape}")
         if total is None:
@@ -215,8 +216,10 @@ def compute_norm_stats(tensors) -> NormStats:
                 f"tensor (C, F) {arr.shape[:2]} does not match {total.shape}"
             )
         count += arr.shape[2]
-        total += arr.sum(axis=2)
-        total_sq += (arr * arr).sum(axis=2)
+        for c, channel in enumerate(arr):  # no tensor-sized float64 copy
+            channel = np.asarray(channel, dtype=np.float64)
+            total[c] += channel.sum(axis=1)
+            total_sq[c] += (channel * channel).sum(axis=1)
     if count == 0:
         raise EmptyManifest("no feature frames to fit statistics on")
     mean = total / count
@@ -226,13 +229,16 @@ def compute_norm_stats(tensors) -> NormStats:
 
 def normalize(tensor, stats: NormStats) -> np.ndarray:
     """Standardize a feature tensor: (x - mean)/std per (channel, freq)."""
-    arr = np.asarray(tensor, dtype=np.float64)
+    arr = np.asarray(tensor)
     if arr.ndim != 3 or arr.shape[:2] != stats.mean.shape:
         raise ShapeMismatch(
             f"tensor shape {arr.shape} does not fit stats {stats.mean.shape}"
         )
-    out = (arr - stats.mean[:, :, None]) / stats.std[:, :, None]
-    return out.astype(np.float32)
+    out = np.empty(arr.shape, dtype=np.float32)
+    for c, channel in enumerate(arr):
+        centred = np.subtract(channel, stats.mean[c, :, None], dtype=np.float64)
+        np.divide(centred, stats.std[c, :, None], out=out[c], casting="unsafe")
+    return out
 
 
 def save_norm_stats(stats: NormStats, path) -> None:

@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .accdoa import _row_norms, _unit_vectors, decode
-from .dataset_io import Events, _first_of_runs
+from .accdoa import _EPS_NORM, _row_norms, _unit_vectors, decode
+from .dataset_io import Events, _first_of_runs, _sorted_unique
 from .errors import ZeroVector
 
 SEGMENT_LABEL_FRAMES = 10
 SPATIAL_THRESHOLD_DEG = 20.0
 
-_EPS_NORM = 1e-9
 _SWEEP_THRESHOLDS = (0.3, 0.5, 0.7)
 
 
@@ -72,21 +71,12 @@ class SeldScores:
 
 def angular_distance(v1, v2) -> float:
     """Great-circle angle between two direction vectors, in degrees."""
-    a = np.asarray(v1, dtype=np.float64)
-    b = np.asarray(v2, dtype=np.float64)
-    return float(_angle_matrix(a[None], b[None])[0, 0])
-
-
-def _angle_matrix(a, b) -> np.ndarray:
-    """(P, R) great-circle angles in degrees between the rows of a (P, 3)
-    and b (R, 3), the array form of angular_distance."""
-    na = _row_norms(a)
-    nb = _row_norms(b)
+    a = np.asarray(v1, dtype=np.float64)[None]
+    b = np.asarray(v2, dtype=np.float64)[None]
+    na, nb = _row_norms(a), _row_norms(b)
     if (na < _EPS_NORM).any() or (nb < _EPS_NORM).any():
         raise ZeroVector("cannot measure an angle to a zero vector")
-    i = np.repeat(np.arange(len(a)), len(b))
-    j = np.tile(np.arange(len(b)), len(a))
-    return _angles(a[i], na[i], b[j], nb[j]).reshape(len(a), len(b))
+    return float(_angles(a, na, b, nb)[0])
 
 
 def _angles(a, na, b, nb) -> np.ndarray:
@@ -136,11 +126,8 @@ def _segment_columns(events: Events, segment_len: int) -> tuple:
     (segment, class) cell, sorted by segment, class, azimuth, elevation."""
     if not segment_len >= 1:
         raise ValueError(f"segment_len must be at least 1, got {segment_len}")
-    segment = events.frame // segment_len
-    cols = (segment, events.class_id, events.azimuth, events.elevation)
-    order = np.lexsort(cols[::-1])
-    cols = [col[order] for col in cols]
-    return tuple(col[_first_of_runs(*cols)] for col in cols)
+    return _sorted_unique(events.frame // segment_len, events.class_id,
+                          events.azimuth, events.elevation)
 
 
 def _match_cells(pred, ref) -> tuple:

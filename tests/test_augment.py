@@ -41,6 +41,7 @@ from seldkit.errors import (
     SeldkitError,
     ShapeMismatch,
     ShiftOutOfRange,
+    TooShort,
 )
 
 
@@ -69,6 +70,12 @@ class TestSwapPattern:
             SwapPattern(1, 4, 1)
         with pytest.raises(SeldkitError):
             SwapPattern(1, 0, 0)
+        # equal to valid integers, but not integers
+        for bad in [(1, 1.0, 1), (True, 0, 1), (1, 0, True), (1.0, 0, 1),
+                    (1, np.float64(2.0), 1), (1, np.True_, 1)]:
+            with pytest.raises(SeldkitError):
+                SwapPattern(*bad)
+        assert SwapPattern(np.int64(-1), np.int8(3), 1).xy_matrix == ((0, -1), (-1, 0))
 
     def test_hand_checked_matrices(self):
         assert SwapPattern(1, 1, 1).xy_matrix == ((0, -1), (1, 0))
@@ -380,6 +387,12 @@ class TestTimeMask:
         with pytest.raises(ShapeMismatch):
             time_mask(feats[:, :, :8], labs, 0, 8)
 
+    def test_no_frames_rejected(self):
+        # an empty mask of an empty clip has no ratio to check
+        feats, labs = self._pair(n_labels=0)
+        with pytest.raises(TooShort):
+            time_mask(feats, labs, 0, 0, ratio_range=(0.0, 0.1))
+
 
 class TestModerateMixup:
     def _pairs(self, seed):
@@ -682,6 +695,14 @@ class TestAugmentPipeline:
 
         assert_array_equal(got_f, exp_f)
         assert_array_equal(got_l, exp_l)
+
+    def test_no_label_frames_rejected(self):
+        feats, labs = np.zeros((7, 200, 0)), np.zeros((3, 13, 0))
+        for config in (AugmentConfig(), identity_config(),
+                       AugmentConfig(fs_prob=1.0),
+                       AugmentConfig(mode="tm_mm", tm_prob=1.0)):
+            with pytest.raises(TooShort):
+                augment_pipeline((feats, labs), (feats, labs), config, make_rng(17))
 
     def test_mixup_requires_partner(self):
         feats, labs = make_sample(31)

@@ -414,6 +414,22 @@ class TestAugmentCmd:
             assert rc == 1
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--fs-prob", "1"], ["--mode", "tm_mm", "--tm-prob", "1"],
+    ])
+    def test_no_label_frames_exit_one(self, tmp_path, capsys, flags):
+        f_in = tmp_path / "f.slsa"
+        l_in = tmp_path / "l.slsa"
+        write_feature_file(np.zeros((7, 200, 0)), f_in)
+        write_feature_file(np.zeros((3, 13, 0)), l_in)
+        rc = cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                       "--out-features", str(tmp_path / "of.slsa"),
+                       "--out-labels", str(tmp_path / "ol.slsa"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err == "error: no label frames to augment\n"
+        assert not (tmp_path / "of.slsa").exists()
+
     def test_seed_makes_runs_repeatable(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=10)
         config = tmp_path / "busy.cfg"

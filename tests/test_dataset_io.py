@@ -452,7 +452,6 @@ class TestReadManifest:
         assert len(manifest.entries) == 2
         assert manifest.entries[0].audio_path == "a.wav"
         assert manifest.entries[1].split == "val"
-        assert manifest.n_classes == 13
 
     def test_extra_columns_allowed(self, tmp_path):
         path = tmp_path / "m.csv"

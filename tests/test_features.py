@@ -309,6 +309,39 @@ class TestNormStats:
         assert_allclose(out.mean(axis=2), 0.0, atol=1e-6)
         assert_allclose(out.std(axis=2), 1.0, atol=1e-5)
 
+    def test_bits_of_the_whole_tensor_float64_formulas(self):
+        # per-channel float64 work must round like the same formulas on
+        # the whole tensor widened at once
+        rng = np.random.default_rng(19)
+        tensors = [rng.normal(2.0, 3.0, size=(7, 30, t)).astype(np.float32)
+                   for t in (40, 9)]
+        stats = compute_norm_stats(tensors)
+        wide = [t.astype(np.float64) for t in tensors]
+        mean = sum(w.sum(axis=2) for w in wide) / 49
+        var = sum((w * w).sum(axis=2) for w in wide) / 49 - mean * mean
+        assert_array_equal(stats.mean, mean)
+        assert_array_equal(stats.std, np.maximum(np.sqrt(np.maximum(var, 0.0)), 1e-8))
+        want = (wide[0] - stats.mean[:, :, None]) / stats.std[:, :, None]
+        assert_array_equal(normalize(tensors[0], stats), want.astype(np.float32))
+
+    def test_working_memory_is_a_few_channels(self):
+        # a (7, 200, T) float32 tensor is widened to float64 one channel at
+        # a time, never whole
+        tensor = np.random.default_rng(20).standard_normal(
+            (7, 200, 2400)).astype(np.float32)
+        channel = 200 * 2400 * 8
+        tracemalloc.start()
+        try:
+            stats = compute_norm_stats([tensor])
+            stats_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out = normalize(tensor, stats)
+            normalize_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats_peak <= 3 * channel
+        assert normalize_peak - out.nbytes <= 3 * channel
+
     def test_pooled_over_several_tensors(self):
         rng = np.random.default_rng(16)
         tensors = [rng.normal(1.0, 2.0, size=(3, 4, t)) for t in (11, 7, 22)]
