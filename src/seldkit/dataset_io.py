@@ -64,7 +64,19 @@ class MultichannelClip:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
+        self._own(np.array(self.samples, dtype=np.float64))
+
+    @classmethod
+    def _taking(cls, samples: np.ndarray) -> MultichannelClip:
+        """A clip made from a float64 array no one else holds, without the
+        copy the constructor makes."""
+        clip = cls.__new__(cls)
+        object.__setattr__(clip, "sample_rate", SAMPLE_RATE)
+        clip._own(samples)
+        return clip
+
+    def _own(self, samples: np.ndarray) -> None:
+        """Check float64 samples, lock them and make them the clip's."""
         if samples.ndim != 2 or samples.shape[0] != N_CHANNELS:
             raise WrongChannelCount(
                 f"expected ({N_CHANNELS}, n) samples, got shape {samples.shape}"
@@ -139,7 +151,7 @@ def read_foa_wav(path) -> MultichannelClip:
             f"{path}: unsupported sample format {data.dtype} "
             "(need 16/24/32-bit int or 32-bit float PCM)"
         )
-    return MultichannelClip(samples.T)
+    return MultichannelClip._taking(samples.T)
 
 
 _EVENT_COLUMNS = (("frame", np.int64), ("class_id", np.int64),
@@ -305,32 +317,36 @@ def write_feature_file(tensor: np.ndarray, path) -> None:
                            "(or values beyond float32 range)")
     header = _MAGIC + struct.pack("<II", _VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    _atomic_write_bytes(path, header + arr.tobytes())
+    _atomic_write_bytes(path, header, arr.reshape(-1).view(np.uint8))
 
 
 def read_feature_file(path) -> np.ndarray:
     """Read an "SLSA" container back into a float32 array (bit-exact)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not an SLSA container")
-    if len(blob) < 12:
-        raise TruncatedPayload(f"{path}: header truncated")
-    version, ndim = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
-    offset = 12 + 8 * ndim
-    if len(blob) < offset:
-        raise TruncatedPayload(f"{path}: dimension list truncated")
-    dims = struct.unpack_from(f"<{ndim}Q", blob, 12)
-    count = math.prod(dims)
-    if len(blob) < offset + 4 * count:
-        raise TruncatedPayload(
-            f"{path}: payload holds {len(blob) - offset} bytes, need {4 * count}"
-        )
-    if len(blob) > offset + 4 * count:
-        raise SeldkitError(f"{path}: trailing bytes after payload")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return data.reshape(dims).copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if size < 4 or head[:4] != _MAGIC:
+            raise BadMagic(f"{path}: not an SLSA container")
+        if size < 12:
+            raise TruncatedPayload(f"{path}: header truncated")
+        version, ndim = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
+        offset = 12 + 8 * ndim
+        if size < offset:
+            raise TruncatedPayload(f"{path}: dimension list truncated")
+        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        count = math.prod(dims)
+        if size < offset + 4 * count:
+            raise TruncatedPayload(
+                f"{path}: payload holds {size - offset} bytes, need {4 * count}"
+            )
+        if size > offset + 4 * count:
+            raise SeldkitError(f"{path}: trailing bytes after payload")
+        data = np.empty(count, dtype="<f4")
+        if fh.readinto(data.view(np.uint8)) != 4 * count:
+            raise TruncatedPayload(f"{path}: payload shorter than its header says")
+    return data.reshape(dims)
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -383,9 +399,9 @@ def _open_text_input(path):
         raise MalformedRow(f"{path}: {exc}") from exc
 
 
-def _atomic_write_bytes(path, blob: bytes) -> None:
-    """Write via a synced sibling temp file + rename so readers never see
-    partials, even after a crash.
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write the buffers chunks, one after another, via a synced sibling
+    temp file + rename so readers never see partials, even after a crash.
 
     The temp file is created with mode 0o666 so the file ends up with the
     umask-derived mode any plain open() would give it.
@@ -395,7 +411,8 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

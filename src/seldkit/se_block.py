@@ -6,13 +6,14 @@ then sigmoid), and gate the map by the result. The variants differ only in
 the axes they squeeze. Channel SE averages over frequency and time, so each
 channel gets one gate; frequency SE averages over channels, so each
 frequency bin gets a gate recomputed independently for every time frame.
-The multi-dimensional block runs frequency first, then channel. Everything
-here is float64 so the central-difference checks in gradcheck are
-meaningful; the backward pass is the exact gradient of the forward,
-including the paths through the squeeze means and the gates. Each backward
-runs the forward once and reads its intermediates (means, hidden
-activations, gates) from the forward's cache, so every squeeze and
-bottleneck is computed once per call.
+The multi-dimensional block runs frequency first, then channel. float32
+input is read in place and widened exactly where it is read; all arithmetic
+is float64, so the central-difference checks in gradcheck are meaningful.
+The backward pass is the exact gradient of the forward, including the paths
+through the squeeze means and the gates. Each backward runs the forward once
+and reads its intermediates (means, hidden activations, gates) from the
+forward's cache, so every squeeze and bottleneck is computed once per call.
+No call writes into an array it was given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SeldkitError, ShapeMismatch
 
@@ -116,25 +116,21 @@ freq_se_backward = partial(se_backward, which="freq")
 
 def multi_dim_se_forward(x, p_freq: SeParams, p_chan: SeParams) -> np.ndarray:
     """Frequency SE first, channel SE second."""
-    return channel_se_forward(freq_se_forward(x, p_freq), p_chan)
+    inner = _gate(_se(_as_tensor3(x), p_freq, "freq"))
+    return _gate(_se(inner, p_chan, "channel"), out=inner)
 
 
 def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
                           grad_y) -> tuple:
     """Exact gradients of multi_dim_se_forward: (grad_x, frequency
     parameter gradients, channel parameter gradients)."""
-    x_in = np.asarray(x)
-    x = _as_tensor3(x_in)
+    x = _as_tensor3(x)
     grad_y = _as_grad(grad_y, x)
     freq_cache = _se(x, p_freq, "freq")
-    if x_in.dtype == np.float32:
-        # float32 widens to float64 exactly where the cache is read, so it
-        # holds the caller's array and the float64 copy goes here
-        freq_cache = (x_in, *freq_cache[1:])
-        del x
     chan_cache = _se(_gate(freq_cache), p_chan, "channel")
     grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y)
-    grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner)
+    del chan_cache  # frees the gated map before the frequency stage's temporaries
+    grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner, out=grad_inner)
     return grad_x, grad_p_freq, grad_p_chan
 
 
@@ -233,7 +229,7 @@ def _gated_axis(which: str) -> int:
 
 
 def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
-    """Squeeze the float64 (C, F, T) x to (d, m) means z and run the
+    """Squeeze the (C, F, T) x to float64 (d, m) means z and run the
     bottleneck on them: returns the cache _gate and _se_grad read (x, the
     squeezed axes, the shape that lifts (d, m) back onto x, z, a1, h and
     the gates s). The gated map itself is left to _gate, since a backward
@@ -245,24 +241,38 @@ def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
             f"params expect d={p.d}, input has {'CFT'[gated]}={x.shape[gated]}"
         )
     gate_shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
-    z = x.mean(axis=axes).reshape(p.d, -1)
+    z = x.mean(axis=axes, dtype=np.float64).reshape(p.d, -1)
     a1 = p.w1 @ z + p.b1[:, None]
     h = np.maximum(a1, 0.0)
-    s = expit(p.w2 @ h + p.b2[:, None])
+    s = _sigmoid(p.w2 @ h + p.b2[:, None])
     return x, axes, gate_shape, z, a1, h, s
 
 
-def _gate(cache: tuple) -> np.ndarray:
-    """The output y of the _se call that made cache: x gated by s."""
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), computed in place in a: below about -709 exp
+    overflows to inf and the gate is exactly 0, like scipy's expit."""
+    with np.errstate(over="ignore"):
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.reciprocal(a, out=a)
+
+
+def _gate(cache: tuple, out=None) -> np.ndarray:
+    """The output y of the _se call that made cache: x gated by s, written
+    into out if given (x itself may be out)."""
     x, _, gate_shape, *_, s = cache
-    return s.reshape(gate_shape) * x
+    return np.multiply(s.reshape(gate_shape), x, out=out)
 
 
-def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray) -> tuple:
-    """Exact gradients of _gate(cache) from the cache and a float64 grad_y of
-    x's shape: (grad_x, parameter gradients)."""
+def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray, out=None) -> tuple:
+    """Exact gradients of _gate(cache) from the cache and a grad_y of x's
+    shape: (grad_x, parameter gradients). grad_x is written into out if
+    given (grad_y itself may be out)."""
     x, axes, gate_shape, z, a1, h, s = cache
-    grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)
+    kept = "".join(c for a, c in enumerate("cft") if a not in axes)
+    grad_s = np.einsum(f"cft,cft->{kept}", grad_y, x,
+                       dtype=np.float64).reshape(s.shape)
     grad_a2 = grad_s * s * (1.0 - s)
     grad_w2 = grad_a2 @ h.T
     grad_h = p.w2.T @ grad_a2
@@ -270,15 +280,17 @@ def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray) -> tuple:
     grad_w1 = grad_a1 @ z.T
     grad_z = p.w1.T @ grad_a1
 
-    n_squeezed = x.size // s.size
-    grad_x = (s.reshape(gate_shape) * grad_y
-              + grad_z.reshape(gate_shape) / n_squeezed)
+    grad_x = np.multiply(s.reshape(gate_shape), grad_y, out=out)
+    grad_x += grad_z.reshape(gate_shape) / (x.size // s.size)
     return grad_x, SeParams(grad_w1, grad_a1.sum(axis=1),
                             grad_w2, grad_a2.sum(axis=1))
 
 
 def _as_tensor3(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    """x as a float32 or float64 array; float32 is kept as it is."""
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 3:
         raise ShapeMismatch(f"expected a (C, F, T) tensor, got shape {arr.shape}")
     return arr

@@ -1,5 +1,7 @@
 """Shared builders for test inputs: synthetic FOA clips, WAV files on disk,
-and random valid event lists."""
+and random valid event lists; and a tracemalloc probe."""
+
+import tracemalloc
 
 import numpy as np
 from scipy.io import wavfile
@@ -54,3 +56,13 @@ def random_events(rng, n_frames, n_classes=13, max_events=12,
         events.append(Event(cell[0], cell[1], az, el))
     events.sort()
     return events
+
+
+def traced_peak_mib(fn, *args):
+    """fn(*args)'s tracemalloc peak, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def brute_force_assignment(cost):
@@ -319,3 +320,42 @@ def separate_averages(per_class, average):
     return (_average_f1(per_class, average),
             _average_le(per_class, average, empty_inputs=not per_class),
             _average_lr(per_class, average))
+
+
+def unfused_multi_dim_se(x, p_freq, p_chan, grad_y):
+    """Multi-dimensional SE (frequency, then channel) and its exact
+    gradients, the plain float64 way: inputs widened up front, scipy's expit
+    for the gates, product-then-sum reductions and no in-place writes.
+
+    Returns (y, grad_x, frequency parameter gradients, channel parameter
+    gradients), each set of parameter gradients a (w1, b1, w2, b2) tuple.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad_y = np.asarray(grad_y, dtype=np.float64)
+    inner, freq_cache = _se_stage(x, p_freq, (0,))
+    y, chan_cache = _se_stage(inner, p_chan, (1, 2))
+    grad_inner, grad_chan = _se_stage_grad(chan_cache, p_chan, grad_y)
+    grad_x, grad_freq = _se_stage_grad(freq_cache, p_freq, grad_inner)
+    return y, grad_x, grad_freq, grad_chan
+
+
+def _se_stage(x, p, axes):
+    """One SE stage squeezing axes: the gated map and what its gradient needs."""
+    gate_shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+    z = x.mean(axis=axes).reshape(p.w1.shape[1], -1)
+    a1 = p.w1 @ z + p.b1[:, None]
+    h = np.maximum(a1, 0.0)
+    s = expit(p.w2 @ h + p.b2[:, None])
+    return s.reshape(gate_shape) * x, (x, axes, gate_shape, z, a1, h, s)
+
+
+def _se_stage_grad(cache, p, grad_y):
+    x, axes, gate_shape, z, a1, h, s = cache
+    grad_s = (grad_y * x).sum(axis=axes).reshape(s.shape)
+    grad_a2 = grad_s * s * (1.0 - s)
+    grad_a1 = (p.w2.T @ grad_a2) * (a1 > 0)
+    grad_z = p.w1.T @ grad_a1
+    grad_x = (s.reshape(gate_shape) * grad_y
+              + grad_z.reshape(gate_shape) / (x.size // s.size))
+    return grad_x, (grad_a1 @ z.T, grad_a1.sum(axis=1), grad_a2 @ h.T,
+                    grad_a2.sum(axis=1))

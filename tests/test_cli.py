@@ -1,12 +1,15 @@
 """End-to-end tests for the command line front end.
 
-Every test drives cli.main in process and checks the exit code, the text
-on stdout/stderr, and the bytes of any files written. Subcommand plumbing
-is verified against direct library calls on the same inputs.
+Every test but one drives cli.main in process and checks the exit code,
+the text on stdout/stderr, and the bytes of any files written; the extract
+thread test runs the command in child processes. Subcommand plumbing is
+verified against direct library calls on the same inputs.
 """
 
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -283,18 +286,25 @@ class TestExtractCmd:
         assert f"{manifest}:3" in err and f"{manifest}:2" in err
         assert not out_dir.exists()
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        manifest, rows = self.make_scene(tmp_path)
-        rc1 = cli.main(["extract", str(manifest), str(tmp_path / "d1"),
-                        "--threads", "1"])
-        rc2 = cli.main(["extract", str(manifest), str(tmp_path / "d2"),
-                        "--threads", "2"])
-        capsys.readouterr()
-        assert rc1 == rc2 == 0
-        for audio, _, _ in rows:
-            name = Path(audio).stem + ".slsa"
-            assert (tmp_path / "d1" / name).read_bytes() == \
-                (tmp_path / "d2" / name).read_bytes()
+    def test_threads_do_not_change_output(self, tmp_path):
+        # the command as a user runs it, with stats fitted on the way:
+        # one worker and two must write the same features and stats
+        manifest, rows = self.make_scene(tmp_path, n_clips=3)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir, stats = tmp_path / f"t{threads}", tmp_path / f"t{threads}.slsa"
+            proc = subprocess.run(
+                [sys.executable, "-m", "seldkit.cli", "extract", str(manifest),
+                 str(out_dir), "--stats", str(stats), "--threads", threads],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            names = sorted(p.name for p in out_dir.iterdir())
+            assert names == sorted(Path(a).stem + ".slsa" for a, _, _ in rows)
+            outputs.append([stats.read_bytes()]
+                           + [(out_dir / n).read_bytes() for n in names])
+        assert outputs[0] == outputs[1]
 
     def test_stats_fit_then_reuse(self, tmp_path, capsys):
         manifest, rows = self.make_scene(tmp_path)

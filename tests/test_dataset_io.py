@@ -158,6 +158,20 @@ class TestReadFoaWav:
         got = read_foa_wav(path).samples
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
+    def test_clip_takes_over_the_read_samples(self, tmp_path):
+        # a 60 s int16 clip is 11 MiB of PCM and 44 MiB as float64; the
+        # reader hands its float64 array to the clip rather than having the
+        # constructor copy it a second time (about 104 MiB)
+        path = tmp_path / "long.wav"
+        raw = np.random.default_rng(20).integers(
+            -20000, 20000, (60 * 24000, 4), dtype=np.int16)
+        wavfile.write(path, 24000, raw)
+        del raw
+        assert helpers.traced_peak_mib(read_foa_wav, path) < 70.0
+        clip = read_foa_wav(path)
+        with pytest.raises(ValueError):
+            clip.samples[0, 0] = 1.0
+
     def test_wrong_channel_count_checked_before_rate(self, tmp_path):
         path = tmp_path / "stereo48k.wav"
         wavfile.write(path, 48000, np.zeros((600, 2), dtype=np.int16))
@@ -431,6 +445,18 @@ class TestFeatureContainer:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SeldkitError):
             read_feature_file(path)
+
+    def test_payload_is_not_copied_on_write_or_read(self, tmp_path):
+        # the payload goes to and comes from the file through its own
+        # buffer: no bytes object of the whole file on either side
+        tensor = np.random.default_rng(6).standard_normal(
+            (7, 200, 4800)).astype(np.float32)
+        payload_mib = tensor.nbytes / 2 ** 20
+        path = tmp_path / "t.slsa"
+        peak = helpers.traced_peak_mib
+        assert peak(write_feature_file, tensor, path) <= 1.2 * payload_mib
+        assert peak(read_feature_file, path) <= 1.2 * payload_mib
+        assert_array_equal(read_feature_file(path), tensor)
 
     def test_result_is_writable_copy(self, tmp_path):
         path = tmp_path / "t.slsa"

@@ -7,11 +7,14 @@ gradients must vanish identically, analytic and numeric alike.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import helpers
+import oracles
 from seldkit import (
     SeParams,
     channel_se_forward,
@@ -150,6 +153,23 @@ class TestChannelForward:
         p = zero_params(4, 2)
         p = SeParams(p.w1, p.b1, p.w2, np.full(4, 30.0))
         assert_allclose(channel_se_forward(x, p), x, rtol=1e-9)
+
+    def test_extreme_pre_activations_give_exact_gates_silently(self):
+        # sigmoid(800) and sigmoid(-800) round to exactly 1 and 0; exp(800)
+        # overflows on the way, which must not surface as a warning
+        rng = rng_for(32)
+        x = rng.standard_normal((4, 3, 2))
+        p = zero_params(4, 2)
+        p = SeParams(p.w1, p.b1, p.w2, np.array([800.0, -800.0, 800.0, -800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = channel_se_forward(x, p)
+            grad_x, grad_p = channel_se_backward(x, p, np.ones_like(x))
+        assert_array_equal(y[0::2], x[0::2])
+        assert_array_equal(y[1::2], 0.0)
+        assert_array_equal(grad_p.b2, 0.0)
+        assert_array_equal(grad_x[0::2], 1.0)
+        assert_array_equal(grad_x[1::2], 0.0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
@@ -297,14 +317,78 @@ class TestBackwardBasics:
         # the backward reads the forward's cached gates, so each bottleneck
         # ends in exactly one sigmoid: (6, 5) for frequency, (4, 1) for channel
         shapes = []
-        expit = se_block.expit
-        monkeypatch.setattr(se_block, "expit",
-                            lambda a: shapes.append(a.shape) or expit(a))
+        sigmoid = se_block._sigmoid
+        monkeypatch.setattr(se_block, "_sigmoid",
+                            lambda a: shapes.append(a.shape) or sigmoid(a))
         rng = rng_for(25)
         x = rng.standard_normal((4, 6, 5))
         multi_dim_se_backward(x, random_params(rng, 6, 2),
                               random_params(rng, 4, 2), x)
         assert sorted(shapes) == [(4, 1), (6, 5)]
+
+
+class TestAgainstUnfusedReference:
+    # the benchmark's loader shape and ratios, then the gradcheck shape
+    CASES = [((7, 200, 400), 4, 1), ((4, 6, 5), 2, 2)]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape, r_freq, r_chan", CASES)
+    def test_outputs_and_gradients_agree(self, dtype, shape, r_freq, r_chan):
+        # einsum's summation order and the in-place sigmoid move the last
+        # bits; an entry where grad_x cancels to near zero is compared at
+        # the scale of its array
+        rng = rng_for(30)
+        x = rng.standard_normal(shape).astype(dtype)
+        grad_y = rng.standard_normal(shape).astype(dtype)
+        p_freq = random_params(rng, shape[1], r_freq)
+        p_chan = random_params(rng, shape[0], r_chan)
+        y, grad_x, g_freq, g_chan = oracles.unfused_multi_dim_se(
+            x, p_freq, p_chan, grad_y)
+        want = [y, grad_x, *g_freq, *g_chan]
+        grad_x, g_freq, g_chan = multi_dim_se_backward(x, p_freq, p_chan, grad_y)
+        got = [multi_dim_se_forward(x, p_freq, p_chan), grad_x,
+               *g_freq.as_arrays(), *g_chan.as_arrays()]
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.float64
+            assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+class TestSePathMemory:
+    def test_float32_step_allocates_few_tensors(self):
+        # one (7, 200, 400) float64 tensor is 4.3 MiB: the forward holds
+        # one, the backward two; float32 input is never widened whole
+        rng = rng_for(31)
+        x = rng.standard_normal((7, 200, 400)).astype(np.float32)
+        p_freq, p_chan = random_params(rng, 200, 4), random_params(rng, 7, 1)
+        grad_y = multi_dim_se_forward(x, p_freq, p_chan)
+        peak = helpers.traced_peak_mib
+        assert peak(multi_dim_se_forward, x, p_freq, p_chan) <= 6.5
+        assert peak(multi_dim_se_backward, x, p_freq, p_chan, grad_y) <= 14.0
+
+
+class TestInputsUntouched:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_no_call_writes_into_its_arguments(self, dtype):
+        rng = rng_for(33)
+        x = rng.standard_normal((4, 6, 5)).astype(dtype)
+        grad_y = rng.standard_normal(x.shape).astype(dtype)
+        p_freq, p_chan = random_params(rng, 6, 2), random_params(rng, 4, 2)
+        args = [x, grad_y, *p_freq.as_arrays(), *p_chan.as_arrays()]
+        before = [a.copy() for a in args]
+        calls = [
+            lambda: multi_dim_se_forward(x, p_freq, p_chan),
+            lambda: multi_dim_se_backward(x, p_freq, p_chan, grad_y),
+            lambda: multi_dim_se_backward(x, p_freq, p_chan, x),
+            lambda: channel_se_forward(x, p_chan),
+            lambda: channel_se_backward(x, p_chan, grad_y),
+            lambda: freq_se_forward(x, p_freq),
+            lambda: freq_se_backward(x, p_freq, grad_y),
+        ]
+        for call in calls:
+            call()
+            for a, b in zip(args, before):
+                assert a.dtype == b.dtype
+                assert_array_equal(a, b)
 
 
 class TestGradcheck:
