@@ -148,7 +148,9 @@ def cmd_extract(args) -> int:
             try:
                 results.append((entry, future.result()))
             except (SeldkitError, OSError) as exc:
-                failures.append((entry.audio_path, exc))
+                failures.append(exc)
+    for exc in failures:  # before fitting, which fails if every clip did
+        print(f"error: {exc}", file=sys.stderr)
 
     stats = None
     if args.stats:
@@ -166,9 +168,6 @@ def cmd_extract(args) -> int:
         out_path = out_dir / (Path(entry.audio_path).stem + ".slsa")
         write_feature_file(tensor, out_path)
         print(f"wrote {out_path}")
-
-    for path, exc in failures:
-        print(f"error: {path}: {exc}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -126,7 +126,8 @@ def read_foa_wav(path) -> MultichannelClip:
 
     Supports 16/24/32-bit integer and 32-bit float PCM. Integer samples are
     scaled by the type's full range, so int16 -32768 becomes exactly -1.0.
-    Non-24 kHz files are rejected rather than resampled.
+    Non-24 kHz files are rejected rather than resampled. Its SeldkitErrors
+    name the path, as does the OSError of a file it cannot open.
     """
     try:
         rate, data = wavfile.read(os.fspath(path))
@@ -151,7 +152,10 @@ def read_foa_wav(path) -> MultichannelClip:
             f"{path}: unsupported sample format {data.dtype} "
             "(need 16/24/32-bit int or 32-bit float PCM)"
         )
-    return MultichannelClip._taking(samples.T)
+    try:
+        return MultichannelClip._taking(samples.T)
+    except SeldkitError as exc:  # too short or non-finite
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 _EVENT_COLUMNS = (("frame", np.int64), ("class_id", np.int64),

@@ -25,8 +25,15 @@ SPEC_FLOOR = 1e-10
 _EPS_EIGVEC = 1e-9
 _SMOOTH = (3, 3)
 _BLOCK_FRAMES = 128
-# (row, column) of the 10 lower-triangle entries of a 4x4 covariance
+_SQUARINGS = 10
+_RANK1_TOL = 1e-13
+# (row, column) of the 10 lower-triangle entries of a 4x4 covariance; which
+# of them lie on the diagonal and which below it; and the position in _OFF
+# of each entry below it
 _TRIL_A, _TRIL_B = np.tril_indices(4)
+_DIAG = np.flatnonzero(_TRIL_A == _TRIL_B)
+_OFF = np.flatnonzero(_TRIL_A > _TRIL_B)
+_OFF_AT = {(int(_TRIL_A[i]), int(_TRIL_B[i])): k for k, i in enumerate(_OFF)}
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,10 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     frames, each read with the halo its window needs. Working memory is
     O(n_bins x block) whatever the clip length, and every output frame is
     the same whatever the block size. Only the lower triangle of each
-    covariance is filled, because eigh reads only that.
+    covariance is formed. Its principal eigenvector comes from repeated
+    squaring, kept only where the squared matrix passes a rank-1
+    certificate; np.linalg.eigh handles the bins that do not pass, such as
+    ties at the top eigenvalue (see _principal_vectors).
 
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
@@ -151,10 +161,73 @@ def _intensity_block(block, lo: int, start: int, stop: int, halos: list,
     sums = _box_sum(sums, *halos[0], axis=1)
     sums = _box_sum(sums, *halos[1], axis=2)[:, :, start - lo:stop - lo]
     mean = sums / (counts[0][:, None] * counts[1][start:stop])
-    cov = np.zeros((block.shape[1], stop - start, 4, 4), dtype=mean.dtype)
-    cov[..., _TRIL_A, _TRIL_B] = np.moveaxis(mean, 0, -1)
-    _, vecs = np.linalg.eigh(cov)
-    return _direction(vecs[..., :, -1])
+    return _direction(_principal_vectors(mean))
+
+
+def _principal_vectors(tril: np.ndarray) -> np.ndarray:
+    """Unit principal eigenvectors, shape (..., 4), of the Hermitian 4x4
+    matrices whose lower triangles are tril, shape (10, ...) in
+    (_TRIL_A, _TRIL_B) order.
+
+    Each matrix is scaled to unit trace and squared _SQUARINGS times, back
+    to unit trace after each squaring, so every eigenvalue below the top
+    one shrinks by its ratio to the top one raised to 2**_SQUARINGS. A
+    result B is certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL,
+    which leaves less than _RANK1_TOL / 2 of its trace off the principal
+    direction; that direction is then B's column with the largest diagonal
+    entry, normalized. Matrices that fail the certificate (ties and
+    near-ties at the top eigenvalue), hold a non-finite entry or have no
+    positive trace go to np.linalg.eigh instead, built for those bins only.
+    """
+    shape = tril.shape[1:]
+    tril = tril.reshape(10, -1)
+    n = tril.shape[1]
+    diag = tril[_DIAG].real
+    trace = np.where(np.isfinite(tril).all(axis=0), diag.sum(axis=0), 0.0)
+    ok = (trace > 0) & (trace < np.inf)
+    scale = np.divide(1.0, trace, out=np.zeros(n), where=ok)
+    d = np.multiply(diag, scale, out=np.zeros(diag.shape), where=ok)
+    o = np.multiply(tril[_OFF], scale, out=np.zeros((6, n), tril.dtype), where=ok)
+    # d, o: diagonal and strictly lower entries. Squaring gives
+    # (B^2)[a, a] = B[a, a]^2 + sum_c |B[a, c]|^2 and, for a > b,
+    # (B^2)[a, b] = (B[a, a] + B[b, b]) B[a, b] + sum_c B[a, c] B[c, b],
+    # with c running over the indices other than a and b
+    for _ in range(_SQUARINGS):
+        conj = o.conj()
+        power = o.real ** 2 + o.imag ** 2
+        d_new = d * d
+        o_new = np.empty_like(o)
+        for (a, b), k in _OFF_AT.items():
+            d_new[a] += power[k]
+            d_new[b] += power[k]
+            o_new[k] = (d[a] + d[b]) * o[k]
+            for c in range(4):
+                if c != a and c != b:
+                    o_new[k] += _entry(o, conj, a, c) * _entry(o, conj, c, b)
+        inv = np.divide(1.0, d_new.sum(axis=0), out=np.zeros(n), where=ok)
+        d, o = d_new * inv, o_new * inv
+
+    trace = d.sum(axis=0)
+    frobenius = (d * d).sum(axis=0) + 2 * (o.real ** 2 + o.imag ** 2).sum(axis=0)
+    certified = ok & (trace * trace - frobenius < _RANK1_TOL * trace * trace)
+    full = np.empty((4, 4, n), dtype=o.dtype)
+    full[np.arange(4), np.arange(4)] = d
+    full[_TRIL_A[_OFF], _TRIL_B[_OFF]] = o
+    full[_TRIL_B[_OFF], _TRIL_A[_OFF]] = o.conj()
+    u = full[:, np.argmax(d, axis=0), np.arange(n)].T
+    u /= np.where(certified, np.linalg.norm(u, axis=1), 1.0)[:, None]
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        cov = np.zeros((redo.size, 4, 4), dtype=tril.dtype)
+        cov[:, _TRIL_A, _TRIL_B] = tril[:, redo].T
+        u[redo] = np.linalg.eigh(cov)[1][..., -1]
+    return u.reshape(shape + (4,))
+
+
+def _entry(o: np.ndarray, conj: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Entry (a, b), a != b, of Hermitian matrices given their strictly
+    lower entries o (in _OFF order) and the conjugates of those."""
+    return o[_OFF_AT[a, b]] if a > b else conj[_OFF_AT[b, a]]
 
 
 def _direction(u: np.ndarray) -> np.ndarray:

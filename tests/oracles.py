@@ -177,11 +177,26 @@ def power_iteration(matrix, iterations=2000):
 
 
 def direct_sum_intensity(bins, smooth=(3, 3)):
-    """Float64 intensity with the covariance summed term by term: every
+    """Float64 intensity from smoothed_covariance: principal eigenvector by
+    eigh, then the same ratio/reorder/clip rules."""
+    _, vecs = np.linalg.eigh(smoothed_covariance(bins, smooth))
+    u = vecs[..., :, -1]
+    out = np.zeros((3,) + u.shape[:2])
+    usable = np.abs(u[..., 0]) > 1e-9
+    ratios = (u[usable][:, 1:4] / u[usable][:, :1]).real
+    vec = ratios[:, [2, 0, 1]]
+    norm = np.linalg.norm(vec, axis=1)
+    vec = vec / np.maximum(norm, 1.0)[:, None]
+    vec[norm < 1e-9] = 0.0
+    out[:, usable] = vec.T
+    return out
+
+
+def smoothed_covariance(bins, smooth=(3, 3)):
+    """(F, T, 4, 4) float64 covariance per bin, summed term by term: every
     x x^H in the clipped smooth = (freq, time) window is added from a
     zero-padded copy of the grid, so no running sum or difference of sums
-    is involved. Principal eigenvector by eigh, then the same
-    ratio/reorder/clip rules."""
+    is involved."""
     x = np.asarray(bins, dtype=complex)
     n_f, n_t = x.shape[1:]
     lo_f, hi_f = (smooth[0] - 1) // 2, smooth[0] // 2
@@ -197,17 +212,7 @@ def direct_sum_intensity(bins, smooth=(3, 3)):
         for dt in range(smooth[1]):
             acc += padded[df:df + n_f, dt:dt + n_t]
             count += inside[df:df + n_f, dt:dt + n_t]
-    _, vecs = np.linalg.eigh(acc / count[..., None, None])
-    u = vecs[..., :, -1]
-    out = np.zeros((3, n_f, n_t))
-    usable = np.abs(u[..., 0]) > 1e-9
-    ratios = (u[usable][:, 1:4] / u[usable][:, :1]).real
-    vec = ratios[:, [2, 0, 1]]
-    norm = np.linalg.norm(vec, axis=1)
-    vec = vec / np.maximum(norm, 1.0)[:, None]
-    vec[norm < 1e-9] = 0.0
-    out[:, usable] = vec.T
-    return out
+    return acc / count[..., None, None]
 
 
 # The per-element conversions and loops the scorer and the decoder used

@@ -358,6 +358,32 @@ class TestExtractCmd:
         assert str(missing) in captured.err
         assert (tmp_path / "out" / "good.slsa").exists()
 
+    @pytest.mark.parametrize("stats", [False, True])
+    def test_every_clip_failing_still_names_each_clip(self, tmp_path, capsys,
+                                                      stats):
+        # a failed stats fit (no frames at all) must not hide why the clips
+        # failed, and each failure names its path once
+        wavs = [tmp_path / "truncated.wav", tmp_path / "short.wav"]
+        wavs[0].write_bytes(b"RIFF\x00\x00")
+        helpers.write_wav(wavs[1], np.zeros((4, 300)))
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [(str(w), f"{w.stem}.csv", "train") for w in wavs])
+        argv = ["extract", str(manifest), str(tmp_path / "out")]
+        if stats:
+            argv += ["--stats", str(tmp_path / "stats.slsa")]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 + stats
+        for wav, line in zip(wavs, lines):
+            assert line.startswith(f"error: {wav}: ")
+            assert line.count(str(wav)) == 1
+        if stats:
+            assert lines[2] == "error: no feature frames to fit statistics on"
+            assert not (tmp_path / "stats.slsa").exists()
+
     def test_thread_count_validated(self, tmp_path, capsys):
         manifest, _ = self.make_scene(tmp_path, n_clips=1)
         rc = cli.main(["extract", str(manifest), str(tmp_path / "out"),

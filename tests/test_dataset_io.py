@@ -1,6 +1,7 @@
 """Tests for WAV/CSV/manifest readers and the SLSA feature container."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -195,6 +196,17 @@ class TestReadFoaWav:
         wavfile.write(path, 24000, np.zeros((600, 4), dtype=np.uint8))
         with pytest.raises(MalformedWav):
             read_foa_wav(path)
+
+    def test_short_and_non_finite_clips_name_the_path(self, tmp_path):
+        short, bad = tmp_path / "short.wav", tmp_path / "nan.wav"
+        wavfile.write(short, 24000, np.zeros((300, 4), dtype=np.int16))
+        samples = np.zeros((600, 4), dtype=np.float32)
+        samples[5, 1] = np.inf
+        wavfile.write(bad, 24000, samples)
+        with pytest.raises(TooShort, match=f"^{re.escape(str(short))}: clip has 300"):
+            read_foa_wav(short)
+        with pytest.raises(SeldkitError, match=f"^{re.escape(str(bad))}: clip contains"):
+            read_foa_wav(bad)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -17,7 +17,7 @@ from scipy.signal.windows import hann
 
 import helpers
 import oracles
-from seldkit import features
+from seldkit import augment, features
 from seldkit import (
     MultichannelClip,
     NormStats,
@@ -245,6 +245,115 @@ class TestEigenvectorIntensity:
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def hermitian(rng, eigenvalues):
+    """(n, 4, 4) Hermitian matrices with the given (n, 4) eigenvalues and
+    random unitary eigenvectors."""
+    shape = (len(eigenvalues), 4, 4)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return (q * np.asarray(eigenvalues)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+
+
+def principal_vectors(matrices, monkeypatch):
+    """features._principal_vectors of (n, 4, 4) Hermitian matrices, and how
+    many of them it handed to np.linalg.eigh."""
+    eigh, handed = np.linalg.eigh, []
+
+    def counting(a):
+        handed.append(len(a))
+        return eigh(a)
+
+    a, b = np.tril_indices(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counting)
+        u = features._principal_vectors(np.ascontiguousarray(matrices[:, a, b].T))
+    assert u.shape == (len(matrices), 4)
+    return u, sum(handed)
+
+
+def phase_aligned_distance(u, v):
+    """Per row, min over unit phases p of ||u - p v||."""
+    inner = np.einsum("na,na->n", v.conj(), u)
+    phase = np.where(inner == 0, 1.0, inner / np.maximum(np.abs(inner), 1e-300))
+    return np.linalg.norm(u - phase[:, None] * v, axis=1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPrincipalVectors:
+    """The repeated-squaring kernel against np.linalg.eigh: a certified bin
+    must carry eigh's eigenvector, and whatever it cannot certify must go
+    to eigh."""
+
+    def assert_matches_eigh(self, u, matrices, atol=1e-12):
+        v = np.linalg.eigh(matrices)[1][..., -1]
+        assert np.max(phase_aligned_distance(u, v)) <= atol
+        assert_allclose(features._direction(u), features._direction(v), rtol=0,
+                        atol=atol)
+
+    def test_rank_one(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        v = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        v *= 10.0 ** rng.uniform(-5, 5, (50, 1))
+        matrices = np.einsum("na,nb->nab", v, v.conj())
+        u, handed = principal_vectors(matrices, monkeypatch)
+        assert handed == 0
+        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.max(phase_aligned_distance(u, unit)) <= 1e-14
+        self.assert_matches_eigh(u, matrices)
+
+    def test_zero_matrix_goes_to_eigh(self, monkeypatch):
+        matrices = np.zeros((3, 4, 4), dtype=complex)
+        u, handed = principal_vectors(matrices, monkeypatch)
+        assert handed == 3
+        assert_array_equal(u, np.linalg.eigh(matrices)[1][..., -1])
+        assert_array_equal(features._direction(u), 0.0)
+
+    def test_w_only_and_no_w(self, monkeypatch):
+        # only W: the eigenvector is (1, 0, 0, 0) and carries no direction;
+        # no W at all: u0 = 0, so no usable direction either
+        rng = np.random.default_rng(31)
+        w_only = np.zeros((4, 4, 4), dtype=complex)
+        w_only[:, 0, 0] = [1e-150, 1e-3, 1.0, 1e80]
+        no_w = hermitian(rng, np.tile([2.0, 1.0, 0.5, 0.2], (4, 1)))
+        no_w[:, 0, :] = no_w[:, :, 0] = 0.0
+        for matrices in (w_only, no_w):
+            u, handed = principal_vectors(matrices, monkeypatch)
+            assert handed == 0
+            assert_array_equal(np.abs(u[:, 0]) < 1e-15, matrices is no_w)
+            assert_array_equal(features._direction(u), 0.0)
+            self.assert_matches_eigh(u, matrices)
+
+    def test_ties_at_the_top_go_to_eigh(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        identity = np.eye(4) * np.array([1e-150, 1.0, 3.0, 1e80])[:, None, None]
+        tied = hermitian(rng, np.tile([1.0, 1.0, 0.5, 0.1], (5, 1)))
+        for matrices in (identity.astype(complex), tied):
+            u, handed = principal_vectors(matrices, monkeypatch)
+            assert handed == len(matrices)
+            assert_array_equal(u, np.linalg.eigh(matrices)[1][..., -1])
+
+    def test_eigengap_sweep(self, monkeypatch):
+        # every bin is certified and matches eigh, or goes to eigh; wide
+        # gaps must take the certified path
+        rng = np.random.default_rng(33)
+        for gap in np.geomspace(0.5, 1e-12, 25):
+            top = 10.0 ** rng.uniform(-3, 3, 20)
+            matrices = hermitian(rng, top[:, None] * [1.0, 1.0 - gap, 0.3, 0.01])
+            u, handed = principal_vectors(matrices, monkeypatch)
+            self.assert_matches_eigh(u, matrices)
+            if gap >= 0.1:
+                assert handed == 0, gap
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e80])
+    def test_extreme_scales(self, scale, monkeypatch):
+        rng = np.random.default_rng(34)
+        matrices = hermitian(rng, np.tile([1.0, 0.6, 0.2, 0.0], (20, 1)))
+        u, handed = principal_vectors(matrices * scale, monkeypatch)
+        assert handed == 0
+        self.assert_matches_eigh(u, matrices * scale)
+        unscaled, _ = principal_vectors(matrices, monkeypatch)
+        assert np.max(phase_aligned_distance(u, unscaled)) <= 1e-14
+
+
 class TestSalsa:
     def test_composition_and_dtype(self):
         clip = helpers.make_plane_wave_clip(45.0, 20.0, seed=12)
@@ -281,6 +390,63 @@ class TestSalsa:
                 continue
             monkeypatch.setattr(features, "_BLOCK_FRAMES", block)
             assert_array_equal(salsa(clip), want, err_msg=f"block {block}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_equivariant_under_every_swap(self):
+        # a swap maps FOA channels by a signed permutation, exactly, so the
+        # spectrogram channels must move bit for bit; an intensity may move
+        # by float32 rounding plus what float64 rounding does to an
+        # eigenvector of relative eigengap g read off through u0: about
+        # eps / (g |u0|), allowed as 1e-12 / (g |u0|). Bins tied at the top
+        # have no eigenvector and are left out.
+        rng = np.random.default_rng(6)
+        a = helpers.make_plane_wave_clip(20.0, 5.0, n_samples=12000, seed=7).samples
+        b = helpers.make_plane_wave_clip(-60.0, 40.0, n_samples=12000, seed=8).samples
+        two_sources = MultichannelClip(a + 0.5 * b + 0.01 * rng.standard_normal(a.shape))
+        diffuse = helpers.make_noise_clip(n_samples=12000, seed=23)
+        labels = np.zeros((3, 1, 1))
+        for clip in (two_sources, diffuse):
+            values, vectors = np.linalg.eigh(
+                oracles.smoothed_covariance(stft(clip)[:, :200]))
+            gap = (values[..., -1] - values[..., -2]) / values[..., -1]
+            u0 = np.abs(vectors[..., 0, -1])
+            defined = gap > 1e-6
+            assert defined.mean() > 0.99
+            tol = np.finfo(np.float32).eps + 1e-12 / np.maximum(gap * u0, 1e-300)
+            base = salsa(clip)
+            for pattern in augment.enumerate_swap_patterns():
+                via_features, _ = augment.channel_swap(base, labels, pattern)
+                via_wave = salsa(augment.apply_pattern_to_waveform(clip, pattern))
+                assert_array_equal(via_features[:4], via_wave[:4])
+                moved = np.abs(via_features[4:] - via_wave[4:].astype(np.float64))
+                assert np.all(moved.max(axis=0)[defined] <= tol[defined]), pattern
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_clips_give_the_eigh_bytes(self, monkeypatch):
+        # silent, W-only, DC, tiny and huge clips come out as with eigh on
+        # every bin, and quietly
+        rows, cols = np.tril_indices(4)
+
+        def eigh_only(tril):
+            cov = np.zeros(tril.shape[1:] + (4, 4), dtype=tril.dtype)
+            cov[..., rows, cols] = np.moveaxis(tril, 0, -1)
+            return np.linalg.eigh(cov)[1][..., -1]
+
+        noise = helpers.make_noise_clip(n_samples=12000, seed=24).samples
+        wave = helpers.make_plane_wave_clip(30.0, 10.0, n_samples=12000, seed=25).samples
+        w_only = np.zeros_like(noise)
+        w_only[0] = noise[0]
+        f32_max = float(np.finfo(np.float32).max)
+        clips = [np.zeros_like(noise), w_only,
+                 np.tile([[0.5], [-0.2], [0.1], [0.3]], noise.shape[1]),
+                 noise * 1e-150, wave * 1e-150, np.sign(noise) * f32_max,
+                 np.clip(noise, -1.0, 1.0)]
+        for samples in clips:
+            clip = MultichannelClip(samples)
+            got = salsa(clip)
+            with monkeypatch.context() as patch:
+                patch.setattr(features, "_principal_vectors", eigh_only)
+                assert_array_equal(got, salsa(clip))
 
     def test_working_memory_does_not_grow_with_clip_length(self):
         # beyond the clip and its (7, 200, T) output, salsa holds one block
