@@ -119,9 +119,11 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     O(n_bins x block) whatever the clip length, and every output frame is
     the same whatever the block size. Only the lower triangle of each
     covariance is formed. Its principal eigenvector comes from repeated
-    squaring, kept only where the squared matrix passes a rank-1
-    certificate; np.linalg.eigh handles the bins that do not pass, such as
-    ties at the top eigenvalue (see _principal_vectors).
+    squaring, each bin stopping one squaring after its matrix passes a
+    rank-1 certificate; np.linalg.eigh handles the bins that never pass,
+    such as ties at the top eigenvalue (see _principal_vectors). A
+    covariance that is not finite (a non-finite spec, or one whose
+    products overflow float64) raises SeldkitError.
 
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
@@ -157,10 +159,12 @@ def _intensity_block(block, lo: int, start: int, stop: int, halos: list,
                      counts: list) -> np.ndarray:
     """Intensity of frames [start, stop) from block, a stft array's frames
     [lo, hi) of _blocks; halos and counts are the clip's _smoothing."""
-    sums = block[_TRIL_A] * block[_TRIL_B].conj()
-    sums = _box_sum(sums, *halos[0], axis=1)
-    sums = _box_sum(sums, *halos[1], axis=2)[:, :, start - lo:stop - lo]
-    mean = sums / (counts[0][:, None] * counts[1][start:stop])
+    # float64 overflow leaves non-finite sums, which _principal_vectors rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = block[_TRIL_A] * block[_TRIL_B].conj()
+        sums = _box_sum(sums, *halos[0], axis=1)
+        sums = _box_sum(sums, *halos[1], axis=2, start=start - lo, stop=stop - lo)
+        mean = sums / (counts[0][:, None] * counts[1][start:stop])
     return _direction(_principal_vectors(mean))
 
 
@@ -169,59 +173,98 @@ def _principal_vectors(tril: np.ndarray) -> np.ndarray:
     matrices whose lower triangles are tril, shape (10, ...) in
     (_TRIL_A, _TRIL_B) order.
 
-    Each matrix is scaled to unit trace and squared _SQUARINGS times, back
-    to unit trace after each squaring, so every eigenvalue below the top
-    one shrinks by its ratio to the top one raised to 2**_SQUARINGS. A
-    result B is certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL,
-    which leaves less than _RANK1_TOL / 2 of its trace off the principal
-    direction; that direction is then B's column with the largest diagonal
-    entry, normalized. Matrices that fail the certificate (ties and
-    near-ties at the top eigenvalue), hold a non-finite entry or have no
-    positive trace go to np.linalg.eigh instead, built for those bins only.
+    Each matrix is scaled to unit trace and squared, back to unit trace
+    after each squaring, so s squarings shrink every eigenvalue below the
+    top one by its ratio to the top one raised to 2**s. A matrix B is
+    certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL, which
+    leaves less than _RANK1_TOL / 2 of its trace off the principal
+    direction. Each bin stops at its own depth: ||B||_F^2 = tr(B^2) is the
+    sum the next squaring scales by, so B's certificate comes free with
+    B^2, and a bin whose B passes takes its vector from B^2, where that
+    share is about squared, below round-off. The vector is the column with
+    the largest diagonal entry, normalized; the bins left are compacted,
+    so each squaring works on them only. After _SQUARINGS squarings the
+    certificate is checked on the result itself. Bins that fail it there
+    (ties and near-ties at the top eigenvalue) and bins with no positive
+    finite trace go to np.linalg.eigh, built for those bins only. A
+    non-finite entry raises SeldkitError: the input was not finite or the
+    covariance overflowed float64.
     """
     shape = tril.shape[1:]
     tril = tril.reshape(10, -1)
-    n = tril.shape[1]
-    diag = tril[_DIAG].real
-    trace = np.where(np.isfinite(tril).all(axis=0), diag.sum(axis=0), 0.0)
+    if not np.isfinite(tril).all():
+        raise SeldkitError("spatial covariance is not finite (input non-finite "
+                           "or overflows float64)")
+    trace = tril[_DIAG].real.sum(axis=0)
     ok = (trace > 0) & (trace < np.inf)
-    scale = np.divide(1.0, trace, out=np.zeros(n), where=ok)
-    d = np.multiply(diag, scale, out=np.zeros(diag.shape), where=ok)
-    o = np.multiply(tril[_OFF], scale, out=np.zeros((6, n), tril.dtype), where=ok)
-    # d, o: diagonal and strictly lower entries. Squaring gives
-    # (B^2)[a, a] = B[a, a]^2 + sum_c |B[a, c]|^2 and, for a > b,
-    # (B^2)[a, b] = (B[a, a] + B[b, b]) B[a, b] + sum_c B[a, c] B[c, b],
-    # with c running over the indices other than a and b
-    for _ in range(_SQUARINGS):
-        conj = o.conj()
-        power = o.real ** 2 + o.imag ** 2
-        d_new = d * d
-        o_new = np.empty_like(o)
-        for (a, b), k in _OFF_AT.items():
-            d_new[a] += power[k]
-            d_new[b] += power[k]
-            o_new[k] = (d[a] + d[b]) * o[k]
-            for c in range(4):
-                if c != a and c != b:
-                    o_new[k] += _entry(o, conj, a, c) * _entry(o, conj, c, b)
-        inv = np.divide(1.0, d_new.sum(axis=0), out=np.zeros(n), where=ok)
-        d, o = d_new * inv, o_new * inv
-
-    trace = d.sum(axis=0)
-    frobenius = (d * d).sum(axis=0) + 2 * (o.real ** 2 + o.imag ** 2).sum(axis=0)
-    certified = ok & (trace * trace - frobenius < _RANK1_TOL * trace * trace)
-    full = np.empty((4, 4, n), dtype=o.dtype)
-    full[np.arange(4), np.arange(4)] = d
-    full[_TRIL_A[_OFF], _TRIL_B[_OFF]] = o
-    full[_TRIL_B[_OFF], _TRIL_A[_OFF]] = o.conj()
-    u = full[:, np.argmax(d, axis=0), np.arange(n)].T
-    u /= np.where(certified, np.linalg.norm(u, axis=1), 1.0)[:, None]
-    redo = np.flatnonzero(~certified)
+    live = np.flatnonzero(ok)
+    scale = 1.0 / trace[live]
+    # d, o: diagonal and strictly lower entries of the bins still squared;
+    # np.compress keeps each row C-contiguous as bins leave
+    d = tril[_DIAG[:, None], live].real * scale
+    o = tril[_OFF[:, None], live] * scale
+    u = np.empty((tril.shape[1], 4), dtype=tril.dtype)
+    for squarings in range(_SQUARINGS + 1):
+        if not live.size:
+            break
+        trace = d.sum(axis=0)
+        if squarings < _SQUARINGS:
+            d, o, frobenius = _square(d, o)
+        else:
+            frobenius = (d * d).sum(axis=0) + 2 * (o.real ** 2 + o.imag ** 2).sum(axis=0)
+        done = trace * trace - frobenius < _RANK1_TOL * trace * trace
+        if done.any():
+            u[live[done]] = _unit_top_columns(np.compress(done, d, axis=1),
+                                              np.compress(done, o, axis=1))
+            keep = ~done
+            live = live[keep]
+            d, o = np.compress(keep, d, axis=1), np.compress(keep, o, axis=1)
+    redo = np.concatenate([np.flatnonzero(~ok), live])
     if redo.size:
         cov = np.zeros((redo.size, 4, 4), dtype=tril.dtype)
         cov[:, _TRIL_A, _TRIL_B] = tril[:, redo].T
         u[redo] = np.linalg.eigh(cov)[1][..., -1]
     return u.reshape(shape + (4,))
+
+
+def _square(d: np.ndarray, o: np.ndarray) -> tuple:
+    """(B^2 / tr(B^2), tr(B^2)) for the Hermitian matrices B whose
+    diagonal and strictly lower entries (in _OFF order) are d, shape
+    (4, m), and o, shape (6, m); B^2 is given the same way.
+
+    (B^2)[a, a] = B[a, a]^2 + sum_c |B[a, c]|^2 and, for a > b,
+    (B^2)[a, b] = (B[a, a] + B[b, b]) B[a, b] + sum_c B[a, c] B[c, b],
+    with c running over the indices other than a and b.
+    """
+    conj = o.conj()
+    power = o.real ** 2 + o.imag ** 2
+    d_new = d * d
+    o_new = np.empty_like(o)
+    for (a, b), k in _OFF_AT.items():
+        d_new[a] += power[k]
+        d_new[b] += power[k]
+        o_new[k] = (d[a] + d[b]) * o[k]
+        for c in range(4):
+            if c != a and c != b:
+                o_new[k] += _entry(o, conj, a, c) * _entry(o, conj, c, b)
+    frobenius = d_new.sum(axis=0)
+    inv = 1.0 / frobenius
+    d_new *= inv
+    o_new *= inv
+    return d_new, o_new, frobenius
+
+
+def _unit_top_columns(d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Each matrix's column with the largest diagonal entry, normalized,
+    shape (m, 4), for matrices given as in _square."""
+    conj = o.conj()
+    top = np.argmax(d, axis=0)
+    u = np.empty((d.shape[1], 4), dtype=o.dtype)
+    for a in range(4):
+        u[:, a] = np.choose(top, [d[a] if b == a else _entry(o, conj, a, b)
+                                  for b in range(4)])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u
 
 
 def _entry(o: np.ndarray, conj: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -260,9 +303,11 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     out = np.empty((7, N_FREQ_BINS, n_t), dtype=np.float32)
     for lo, start, stop, hi in _blocks(n_t, halos[1]):
         spec = _stft_block(clip.samples, lo, hi, window, STFT_HOP)
-        out[:4, :, start:stop] = log_linear_spectrogram(spec[..., start - lo:stop - lo])
+        # intensity first: a covariance that overflows raises SeldkitError
+        # before the power spectrum would warn
         out[4:, :, start:stop] = _intensity_block(spec[:, :N_FREQ_BINS], lo, start,
                                                   stop, halos, counts)
+        out[:4, :, start:stop] = log_linear_spectrogram(spec[..., start - lo:stop - lo])
     return out
 
 
@@ -330,13 +375,19 @@ def load_norm_stats(path) -> NormStats:
     return NormStats(arr[0], arr[1])
 
 
-def _box_sum(arr: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
+def _box_sum(arr: np.ndarray, before: int, after: int, axis: int,
+             start: int = 0, stop: int = None) -> np.ndarray:
     """Sum over the window [i - before, i + after] along axis, clipped to
-    the array's extent, by shifted adds in a fixed order."""
-    out = arr.copy()
+    the array's extent, at positions i in [start, stop) (all of them by
+    default), by shifted adds in a fixed order."""
+    n = arr.shape[axis]
+    stop = n if stop is None else stop
+    out = arr[(slice(None),) * axis + (slice(start, stop),)].copy()
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     for k in range(1, before + 1):
-        dst[k:] += src[:-k]
+        first = min(max(start, k), stop)  # positions from here on have i - k >= 0
+        dst[first - start:] += src[first - k:stop - k]
     for k in range(1, after + 1):
-        dst[:-k] += src[k:]
+        end = max(min(stop, n - k), start)  # positions below it have i + k < n
+        dst[:end - start] += src[start + k:end + k]
     return out

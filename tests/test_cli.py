@@ -343,6 +343,20 @@ class TestExtractCmd:
             assert (tmp_path / "d2" / name).read_bytes() == \
                 (tmp_path / "d3" / name).read_bytes()
 
+    def test_failed_write_stops_the_run(self, tmp_path, capsys):
+        # a directory where the first clip's .slsa goes makes its write
+        # fail; the run stops there, so no later clip is written
+        manifest, rows = self.make_scene(tmp_path)
+        out_dir = tmp_path / "feat"
+        (out_dir / (Path(rows[0][0]).stem + ".slsa")).mkdir(parents=True)
+        rc = cli.main(["extract", str(manifest), str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert "wrote" not in captured.out
+        assert not (out_dir / (Path(rows[1][0]).stem + ".slsa")).exists()
+        assert not list(out_dir.glob("*.tmp"))
+
     def test_missing_audio_reported_and_rest_written(self, tmp_path, capsys):
         wav = tmp_path / "good.wav"
         helpers.write_wav(wav, helpers.make_noise_clip(n_samples=12000).samples)

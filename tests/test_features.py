@@ -270,6 +270,23 @@ def principal_vectors(matrices, monkeypatch):
     return u, sum(handed)
 
 
+def squaring_depths(matrices):
+    """Per Hermitian matrix, the number of squarings (back to unit trace
+    after each) after which it first passes the kernel's rank-1
+    certificate, computed with full 4x4 matmuls; _SQUARINGS + 1 if it
+    never does."""
+    depth = np.full(len(matrices), features._SQUARINGS + 1)
+    b = matrices / np.trace(matrices, axis1=1, axis2=2).real[:, None, None]
+    for s in range(features._SQUARINGS + 1):
+        trace = np.trace(b, axis1=1, axis2=2).real
+        frobenius = np.sum(np.abs(b) ** 2, axis=(1, 2))
+        passed = trace * trace - frobenius < features._RANK1_TOL * trace * trace
+        depth[passed & (depth > s)] = s
+        b = b @ b
+        b /= np.trace(b, axis1=1, axis2=2).real[:, None, None]
+    return depth
+
+
 def phase_aligned_distance(u, v):
     """Per row, min over unit phases p of ||u - p v||."""
     inner = np.einsum("na,na->n", v.conj(), u)
@@ -352,6 +369,62 @@ class TestPrincipalVectors:
         self.assert_matches_eigh(u, matrices * scale)
         unscaled, _ = principal_vectors(matrices, monkeypatch)
         assert np.max(phase_aligned_distance(u, unscaled)) <= 1e-14
+
+    def test_every_squaring_depth_in_one_block(self, monkeypatch):
+        # bins leave the squaring at their own depth and the rest are
+        # compacted; with bins of every depth and eigh fallbacks mixed in
+        # one block, each bin must come out as it would alone
+        rng = np.random.default_rng(35)
+        rows = [[1.0, 0.0, 0.0, 0.0]]
+        for s in range(1, features._SQUARINGS + 1):
+            # the second eigenvalue keeps about 1e-9 of the trace after
+            # s - 1 squarings (fails) and about 1e-18 after s (passes)
+            r = 1e-9 ** (1 / 2 ** (s - 1))
+            rows.append([1.0, r, 0.5 * r, 0.1 * r])
+        eigenvalues = np.repeat(rows, 8, axis=0)
+        eigenvalues *= 10.0 ** rng.uniform(-3, 3, (len(eigenvalues), 1))
+        certified = hermitian(rng, eigenvalues)
+        assert_array_equal(squaring_depths(certified),
+                           np.repeat(np.arange(features._SQUARINGS + 1), 8))
+        # two-fold ties, a near-tie the capped squarings cannot separate
+        # and zero matrices all go to eigh
+        fallback = np.concatenate([
+            hermitian(rng, np.tile([1.0, 1.0, 0.5, 0.1], (4, 1))),
+            hermitian(rng, np.tile([1.0, 0.99, 0.5, 0.1], (4, 1))),
+            np.zeros((4, 4, 4), dtype=complex)])
+        order = rng.permutation(len(certified) + len(fallback))
+        matrices = np.concatenate([certified, fallback])[order]
+        u, handed = principal_vectors(matrices, monkeypatch)
+        assert handed == len(fallback)
+        is_certified = order < len(certified)
+        self.assert_matches_eigh(u[is_certified], matrices[is_certified])
+        shuffle = rng.permutation(len(matrices))
+        shuffled, _ = principal_vectors(matrices[shuffle], monkeypatch)
+        assert_array_equal(shuffled.view(np.uint64), u[shuffle].view(np.uint64))
+        for i in range(len(matrices)):
+            alone, _ = principal_vectors(matrices[i:i + 1], monkeypatch)
+            assert_array_equal(alone.view(np.uint64), u[i:i + 1].view(np.uint64))
+
+    def test_working_memory_of_a_full_block(self, monkeypatch):
+        # one block of a diffuse clip, 200 bins x 128 frames, whose bins
+        # stop after different numbers of squarings. The bound is the
+        # traced peak of a kernel that squared every bin _SQUARINGS times
+        # on this block (numpy 2.4), so copies sized to the surviving bins
+        # must not grow past it
+        clip = helpers.make_noise_clip(n_samples=512 + 300 * 200, seed=40)
+        kernel, blocks = features._principal_vectors, []
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "_principal_vectors",
+                          lambda tril: blocks.append(tril) or kernel(tril))
+            salsa(clip)
+        assert blocks[0].shape == (10, 200, 128)
+        tracemalloc.start()
+        try:
+            kernel(blocks[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22_991_288
 
 
 class TestSalsa:
@@ -439,14 +512,30 @@ class TestSalsa:
         f32_max = float(np.finfo(np.float32).max)
         clips = [np.zeros_like(noise), w_only,
                  np.tile([[0.5], [-0.2], [0.1], [0.3]], noise.shape[1]),
-                 noise * 1e-150, wave * 1e-150, np.sign(noise) * f32_max,
-                 np.clip(noise, -1.0, 1.0)]
+                 noise * 1e-150, wave * 1e-150, noise * 1e150,
+                 np.sign(noise) * f32_max, np.clip(noise, -1.0, 1.0)]
         for samples in clips:
             clip = MultichannelClip(samples)
             got = salsa(clip)
             with monkeypatch.context() as patch:
                 patch.setattr(features, "_principal_vectors", eigh_only)
                 assert_array_equal(got, salsa(clip))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_raises(self):
+        # samples near 1e160 overflow the covariance products in float64;
+        # that is an input error, raised before any warning
+        clip = MultichannelClip(
+            helpers.make_noise_clip(n_samples=12000, seed=24).samples * 1e160)
+        with pytest.raises(SeldkitError, match="overflows float64"):
+            salsa(clip)
+        with pytest.raises(SeldkitError, match="overflows float64"):
+            eigenvector_intensity(stft(clip))
+        # a spec that is not finite to begin with is named the same way
+        spec = stft(helpers.make_noise_clip(n_samples=12000, seed=24))
+        spec[1, 40, 5] = np.nan
+        with pytest.raises(SeldkitError, match="not finite"):
+            eigenvector_intensity(spec)
 
     def test_working_memory_does_not_grow_with_clip_length(self):
         # beyond the clip and its (7, 200, T) output, salsa holds one block
