@@ -29,6 +29,10 @@ from .dataset_io import (
 from .errors import SeldkitError, ShapeMismatch
 
 GRADCHECK_TOLERANCE = 1e-6
+# The most array elements a flag may size (1 GiB as float64): encode's
+# --frames and --classes, gradcheck's --shape. Checked before allocating,
+# so an oversized flag is an input error rather than a MemoryError.
+_FLAG_ELEMENT_BUDGET = 2 ** 27
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,10 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args) or 0
-    except SeldkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SeldkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # invariant violations, not input problems
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="SELD feature/augmentation/metrics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[], help="manifest WAVs -> feature files")
+    p = sub.add_parser("extract", help="manifest WAVs -> feature files")
     p.add_argument("manifest", help="CSV with header audio_path,label_path,split")
     p.add_argument("out_dir", help="directory for .slsa feature files")
     p.add_argument("--stats", metavar="PATH",
@@ -154,13 +155,11 @@ def cmd_extract(args) -> int:
 
     stats = None
     if args.stats:
-        stats_path = Path(args.stats)
-        if stats_path.exists():
-            stats = features.load_norm_stats(stats_path)
-        else:
+        if not Path(args.stats).exists():
             stats = features.compute_norm_stats(t for _, t in results)
-            features.save_norm_stats(stats, stats_path)
-            print(f"fitted stats over {len(results)} clips -> {stats_path}")
+            features.save_norm_stats(stats, args.stats)
+            print(f"fitted stats over {len(results)} clips -> {args.stats}")
+        stats = features.load_norm_stats(args.stats)  # as stored, fitted or not
 
     for entry, tensor in results:
         if stats is not None:
@@ -198,6 +197,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    # negative counts are left to accdoa.encode's own message
+    _check_budget("--frames and --classes",
+                  3 * max(args.classes, 0) * max(args.frames, 0))
     events = read_label_csv(args.labels, n_classes=args.classes)
     tensor = accdoa.encode(events, args.frames, args.classes)
     write_feature_file(tensor, args.out)
@@ -215,21 +217,17 @@ def cmd_decode(args) -> int:
 def cmd_score(args) -> int:
     refs = read_label_csv(args.ref)
     if args.sweep:
-        rows = metrics.threshold_sweep(
-            read_feature_file(args.pred), refs, average=args.average
-        )
+        rows = metrics.threshold_sweep(read_feature_file(args.pred), refs,
+                                       average=args.average)
         print(metrics.format_sweep_table(rows))
-        if args.report:
-            lines = ["threshold,er,f1,le,lr"]
-            for thr, s in rows:
-                lines.append(f"{thr},{s.er:.6f},{s.f1:.6f},{s.le:.6f},{s.lr:.6f}")
-            _atomic_write_bytes(args.report, ("\n".join(lines) + "\n").encode("utf-8"))
-        return 0
-    scores = metrics.compute_seld_scores(read_label_csv(args.pred), refs,
-                                         average=args.average)
-    print(metrics.format_scores_line(scores))
+        report = metrics.sweep_to_csv(rows)
+    else:
+        scores = metrics.compute_seld_scores(read_label_csv(args.pred), refs,
+                                             average=args.average)
+        print(metrics.format_scores_line(scores))
+        report = metrics.scores_to_csv(scores)
     if args.report:
-        _atomic_write_bytes(args.report, metrics.scores_to_csv(scores).encode("utf-8"))
+        _atomic_write_bytes(args.report, report.encode("utf-8"))
     return 0
 
 
@@ -246,6 +244,8 @@ def cmd_gradcheck(args) -> int:
         )
     if c % r != 0 or f % r != 0:
         raise SeldkitError(f"ratio {r} must divide both C={c} and F={f}")
+    # the input and the two stages' (d/r, d) weight pairs
+    _check_budget("--shape", c * f * t + 2 * (c * c + f * f) // r)
 
     all_pass = True
     for name in se_block.GRADCHECK_BLOCKS:
@@ -267,7 +267,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ensemble(args) -> int:
     tensors = [read_feature_file(p) for p in args.tensors]
-    avg = accdoa.ensemble_average(tensors)
+    avg = accdoa.ensemble_average(tensors).astype(np.float32)  # as --out holds it
     events = accdoa.decode(avg, args.threshold) if args.csv else None
     write_feature_file(avg, args.out)
     print(f"wrote {args.out} (mean of {len(tensors)} tensors)")
@@ -284,6 +284,14 @@ def cmd_stats(args) -> int:
     features.save_norm_stats(stats, args.out)
     print(f"wrote {args.out} (fitted on {len(args.features)} files)")
     return 0
+
+
+def _check_budget(flags: str, elements: int) -> None:
+    if elements > _FLAG_ELEMENT_BUDGET:
+        raise SeldkitError(
+            f"{flags}: {elements:,} array elements is over the budget of "
+            f"{_FLAG_ELEMENT_BUDGET:,}"
+        )
 
 
 def _read_pair(features_path, labels_path) -> tuple:

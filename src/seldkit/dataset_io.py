@@ -126,9 +126,11 @@ def read_foa_wav(path) -> MultichannelClip:
 
     Supports 16/24/32-bit integer and 32-bit float PCM. Integer samples are
     scaled by the type's full range, so int16 -32768 becomes exactly -1.0.
-    Non-24 kHz files are rejected rather than resampled. Its SeldkitErrors
+    Non-24 kHz files are rejected rather than resampled, and so is a file
+    cut short of the size its data chunk declares. Its SeldkitErrors
     name the path, as does the OSError of a file it cannot open.
     """
+    _check_data_size(path)
     try:
         rate, data = wavfile.read(os.fspath(path))
     except FileNotFoundError:
@@ -142,20 +144,49 @@ def read_foa_wav(path) -> MultichannelClip:
     if rate != SAMPLE_RATE:
         raise WrongSampleRate(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
 
-    if data.dtype in _INT_SCALE:
-        samples = data.astype(np.float64)
-        samples /= _INT_SCALE[data.dtype]
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
+    if data.dtype not in _INT_SCALE and data.dtype != np.float32:
         raise MalformedWav(
             f"{path}: unsupported sample format {data.dtype} "
             "(need 16/24/32-bit int or 32-bit float PCM)"
         )
+    samples = data.astype(np.float64)
+    if data.dtype in _INT_SCALE:
+        samples /= _INT_SCALE[data.dtype]
     try:
         return MultichannelClip._taking(samples.T)
     except SeldkitError as exc:  # too short or non-finite
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _check_data_size(path) -> None:
+    """Raise MalformedWav when the WAV's data chunk declares more bytes than
+    follow it.
+
+    scipy reads such a file short, with at most a warning; a warnings
+    filter is process-wide state that extract's reader threads would
+    share, so the chunk list is walked here instead. Any other defect is
+    left to scipy to report.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        form = fh.read(12)[:4]
+        order = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}.get(form)
+        rf64_data = b""
+        while order and len(head := fh.read(8)) == 8:
+            declared = struct.unpack(order + "I", head[4:])[0]
+            start = fh.tell()
+            if head[:4] == b"ds64":  # RF64 keeps the data size here
+                rf64_data = fh.read(16)[8:]
+            elif head[:4] == b"data":
+                if form == b"RF64" and len(rf64_data) == 8:
+                    declared = struct.unpack("<Q", rf64_data)[0]
+                if declared > size - start:
+                    raise MalformedWav(
+                        f"{path}: data chunk declares {declared} bytes "
+                        f"but {size - start} follow it"
+                    )
+                return
+            fh.seek(start + declared + declared % 2)
 
 
 _EVENT_COLUMNS = (("frame", np.int64), ("class_id", np.int64),

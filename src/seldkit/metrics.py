@@ -33,7 +33,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .accdoa import _EPS_NORM, _row_norms, _unit_vectors, decode
 from .dataset_io import Events, _first_of_runs, _sorted_unique
-from .errors import ZeroVector
+from .errors import SeldkitError, ZeroVector
 
 SEGMENT_LABEL_FRAMES = 10
 SPATIAL_THRESHOLD_DEG = 20.0
@@ -125,7 +125,7 @@ def _segment_columns(events: Events, segment_len: int) -> tuple:
     """(segment, class_id, azimuth, elevation) of the distinct DoAs of each
     (segment, class) cell, sorted by segment, class, azimuth, elevation."""
     if not segment_len >= 1:
-        raise ValueError(f"segment_len must be at least 1, got {segment_len}")
+        raise SeldkitError(f"segment_len must be at least 1, got {segment_len}")
     return _sorted_unique(events.frame // segment_len, events.class_id,
                           events.azimuth, events.elevation)
 
@@ -206,7 +206,7 @@ def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
     """Segment and convert the reference Events once; return a function
     from prediction Events to SeldScores."""
     if average not in ("macro", "micro"):
-        raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
+        raise SeldkitError(f"average must be 'macro' or 'micro', got {average!r}")
     ref_segment, ref_class, ref_vecs = _cell_vectors(refs, segment_len)
     ref_norms = _row_norms(ref_vecs)
 
@@ -301,6 +301,13 @@ def format_sweep_table(rows) -> str:
             f"{scores.le:>7.1f} {scores.lr:>6.1f}"
         )
     return "\n".join(lines)
+
+
+def sweep_to_csv(rows) -> str:
+    """threshold,er,f1,le,lr rows over (threshold, SeldScores) rows."""
+    return "threshold,er,f1,le,lr\n" + "".join(
+        f"{thr},{s.er:.6f},{s.f1:.6f},{s.le:.6f},{s.lr:.6f}\n" for thr, s in rows
+    )
 
 
 def scores_to_csv(scores: SeldScores) -> str:

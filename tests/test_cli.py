@@ -321,6 +321,11 @@ class TestExtractCmd:
                        "--stats", str(stats_path)])
         assert rc == 0
         assert "fitted" not in capsys.readouterr().out
+        # the fitting run normalizes through the saved file as well
+        for audio, _, _ in rows:
+            name = Path(audio).stem + ".slsa"
+            assert (tmp_path / "d1" / name).read_bytes() == \
+                (tmp_path / "d2" / name).read_bytes()
 
         # a reusing run must equal: load stats, normalize fresh features
         from seldkit.dataset_io import read_foa_wav
@@ -397,6 +402,24 @@ class TestExtractCmd:
         if stats:
             assert lines[2] == "error: no feature frames to fit statistics on"
             assert not (tmp_path / "stats.slsa").exists()
+
+    def test_cut_wav_reported_and_rest_written(self, tmp_path, capsys):
+        # a data chunk declaring more bytes than the file holds is an input
+        # error, not a short clip
+        manifest, rows = self.make_scene(tmp_path)
+        cut = Path(rows[1][0])
+        blob = bytearray(cut.read_bytes())
+        at = blob.index(b"data") + 4
+        blob[at:at + 4] = struct.pack("<I", 0xFFFFFFF0)
+        cut.write_bytes(bytes(blob))
+        out_dir = tmp_path / "out"
+        rc = cli.main(["extract", str(manifest), str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {cut}: data chunk declares")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            [Path(rows[0][0]).stem + ".slsa"]
 
     def test_thread_count_validated(self, tmp_path, capsys):
         manifest, _ = self.make_scene(tmp_path, n_clips=1)
@@ -694,13 +717,15 @@ class TestNumericFlags:
         (["encode", "{ref}", "--frames", "-1", "--out", "{out}"], "non-negative"),
         (["encode", "{empty}", "--frames", "5", "--classes", "-1",
           "--out", "{out}"], "non-negative"),
+        (["encode", "{empty}", "--frames", "-200000000000", "--classes", "-1",
+          "--out", "{out}"], "non-negative"),
         (["gradcheck", "--ratio", "0"], ">= 1"),
         (["gradcheck", "--seeds", "0"], ">= 1"),
         (["gradcheck", "--seeds", "-1"], ">= 1"),
         (["gradcheck", "--shape", "4,6,0"], ">= 1"),
     ], ids=["decode_nan", "decode_inf", "ensemble_csv_nan", "encode_frames",
-            "encode_classes", "gradcheck_ratio", "gradcheck_seeds_0",
-            "gradcheck_seeds_neg", "gradcheck_shape"])
+            "encode_classes", "encode_both_negative", "gradcheck_ratio",
+            "gradcheck_seeds_0", "gradcheck_seeds_neg", "gradcheck_shape"])
     def test_exit_one(self, tmp_path, capsys, argv, message):
         events = nonempty_events(41)
         paths = {"t": tmp_path / "t.slsa", "ref": tmp_path / "ref.csv",
@@ -717,6 +742,42 @@ class TestNumericFlags:
         assert message in captured.err
         assert captured.out == ""
         assert not paths["out"].exists() and not paths["avg"].exists()
+
+
+class TestFlagBudget:
+    """A flag that sizes an array beyond the budget is an input error,
+    checked before anything is allocated. The CLI runs in a child process
+    whose address space is capped at 1 GiB, so an unchecked flag ends in a
+    MemoryError there and never loads the machine."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["encode", "{ref}", "--frames", "100000000000", "--out", "{out}"],
+         "--frames and --classes"),
+        (["encode", "{ref}", "--frames", "20", "--classes", "10000000000",
+          "--out", "{out}"], "--frames and --classes"),
+        (["gradcheck", "--shape", "4000,4000,4000"], "--shape"),
+        (["gradcheck", "--shape", "1000000,1,1", "--ratio", "1"], "--shape"),
+    ], ids=["encode_frames", "encode_classes", "gradcheck_shape",
+            "gradcheck_weights"])
+    def test_exit_one_under_capped_memory(self, tmp_path, argv, flag):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        paths = {"ref": tmp_path / "ref.csv", "out": tmp_path / "out.slsa"}
+        write_label_csv(nonempty_events(43), paths["ref"])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "seldkit.cli",
+             *(arg.format(**paths) for arg in argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {flag}: "), proc.stderr
+        assert "over the budget" in proc.stderr
+        assert not paths["out"].exists()
 
 
 class TestEnsembleCmd:
@@ -759,6 +820,26 @@ class TestEnsembleCmd:
         assert rc == 0
         assert f"wrote {csv_out}" in capsys.readouterr().out
         assert list(read_label_csv(csv_out)) == events
+
+    def test_csv_is_the_decode_of_out(self, tmp_path, capsys):
+        # three models put 0.5, 0.5 and the next float32 up in one cell:
+        # the float64 mean is above 0.5, its float32 rounding in --out is
+        # 0.5, so only a decode of the written tensor agrees with the file
+        paths = []
+        above = np.nextafter(np.float32(0.5), np.float32(1))
+        for i, x in enumerate([0.5, 0.5, above]):
+            t = np.zeros((3, 13, 10), dtype=np.float32)
+            t[0, 4, 7] = x
+            paths.append(str(tmp_path / f"t{i}.slsa"))
+            write_feature_file(t, paths[-1])
+        avg, csv_out, decoded = (tmp_path / "avg.slsa", tmp_path / "avg.csv",
+                                 tmp_path / "dec.csv")
+        assert cli.main(["ensemble", *paths, "--out", str(avg),
+                         "--csv", str(csv_out)]) == 0
+        assert cli.main(["decode", str(avg), "--out", str(decoded)]) == 0
+        capsys.readouterr()
+        assert read_feature_file(avg)[0, 4, 7] == np.float32(0.5)
+        assert csv_out.read_bytes() == decoded.read_bytes() == b""
 
     def test_mismatched_shapes(self, tmp_path, capsys):
         p1 = tmp_path / "t1.slsa"

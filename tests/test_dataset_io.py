@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,47 @@ class TestReadFoaWav:
         with pytest.raises(MalformedWav):
             read_foa_wav(path)
 
+    @staticmethod
+    def int16_wav(claimed, payload, riff_size=None, rf64=False):
+        """A 4-channel 24 kHz int16 WAV whose data chunk declares claimed
+        bytes and holds payload; riff_size defaults to the true size."""
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 4, 24000, 24000 * 8, 8, 16)
+        if rf64:  # the 32-bit sizes are 0xFFFFFFFF; ds64 holds the real ones
+            tail = fmt + b"data" + struct.pack("<I", 0xFFFFFFFF) + payload
+            ds64 = b"ds64" + struct.pack("<IQQQI", 28, 40 + len(tail), claimed, 0, 0)
+            return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + tail
+        body = b"WAVE" + fmt + b"data" + struct.pack("<I", claimed) + payload
+        return b"RIFF" + struct.pack("<I", riff_size or len(body)) + body
+
+    @pytest.mark.parametrize("riff_size", [None, 0xFFFFFFF8],
+                             ids=["riff_size_true", "riff_size_claimed"])
+    def test_data_chunk_cut_short(self, tmp_path, riff_size):
+        # 2,000 frames on disk, 0xFFFFFFF0 bytes declared: scipy reads the
+        # 2,000 frames with a warning at most, which is not an error
+        path = tmp_path / "cut.wav"
+        payload = np.arange(8000, dtype="<i2").tobytes()
+        path.write_bytes(self.int16_wav(0xFFFFFFF0, payload, riff_size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check must not be a warning
+            with pytest.raises(MalformedWav, match=(
+                    f"^{re.escape(str(path))}: data chunk declares 4294967280 "
+                    "bytes but 16000 follow it")):
+                read_foa_wav(path)
+
+    @pytest.mark.parametrize("rf64", [False, True], ids=["riff", "rf64"])
+    def test_data_chunk_sizes(self, tmp_path, rf64):
+        # a data chunk holding what it declares reads as every frame; one
+        # byte more declared than held is a cut file
+        payload = np.arange(8000, dtype="<i2").tobytes()
+        path = tmp_path / "whole.wav"
+        path.write_bytes(self.int16_wav(len(payload), payload, rf64=rf64))
+        clip = read_foa_wav(path)
+        assert clip.samples.shape == (4, 2000)
+        assert clip.samples[1, 0] == 1 / 2 ** 15
+        path.write_bytes(self.int16_wav(len(payload) + 1, payload, rf64=rf64))
+        with pytest.raises(MalformedWav, match="declares 16001 bytes but 16000"):
+            read_foa_wav(path)
+
 
 class TestEvents:
     ROWS = [Event(0, 3, 30.0, -10.0), Event(2, 5, -120.5, 45.0)]
@@ -367,6 +409,13 @@ class TestWriteLabelCsv:
     def test_no_temp_files_left(self, tmp_path):
         write_label_csv([Event(0, 0, 0.0, 0.0)], tmp_path / "out.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    @pytest.mark.parametrize("az, el", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_non_finite_direction_refused(self, tmp_path, az, el):
+        path = tmp_path / "out.csv"
+        with pytest.raises(SeldkitError, match="non-finite direction"):
+            write_label_csv([Event(0, 0, 10.0, 0.0), Event(1, 2, az, el)], path)
+        assert not path.exists()
 
 
 class TestFeatureContainer:

@@ -23,13 +23,14 @@ from seldkit import (
 from seldkit import cli
 from seldkit.accdoa import _row_norms, _unit_vectors
 from seldkit.dataset_io import read_label_csv, write_feature_file, write_label_csv
-from seldkit.errors import ElevationOutOfRange, ZeroVector
+from seldkit.errors import ElevationOutOfRange, SeldkitError, ZeroVector
 from seldkit.metrics import (
     SeldScores,
     _match_cells,
     format_scores_line,
     format_sweep_table,
     scores_to_csv,
+    sweep_to_csv,
 )
 
 
@@ -274,6 +275,16 @@ class TestHandScores:
     def test_average_validation(self):
         with pytest.raises(ValueError):
             compute_seld_scores([], [], average="weighted")
+
+    def test_bad_average_and_segment_length_are_input_errors(self):
+        events = [Event(0, 0, 0.0, 0.0)]
+        with pytest.raises(SeldkitError, match="average must be"):
+            compute_seld_scores(events, events, average="weighted")
+        for segment_len in (0, -1):
+            with pytest.raises(SeldkitError, match="segment_len must be at least 1"):
+                compute_seld_scores(events, events, segment_len=segment_len)
+            with pytest.raises(SeldkitError, match="segment_len must be at least 1"):
+                segment_events(events, segment_len=segment_len)
 
 
 class TestAgainstBruteForce:
@@ -643,6 +654,15 @@ class TestFormatting:
         assert len(lines) == 4
         assert lines[0].split() == ["thr", "ER", "F1", "LE", "LR"]
         assert lines[1].split() == ["0.30", "0.00", "100.0", "0.0", "100.0"]
+
+    def test_sweep_csv(self):
+        rows = [(0.3, SeldScores(0.25, 80.0, 12.3456789, 100.0)),
+                (0.5, SeldScores(1.0, 0.0, 180.0, 0.0))]
+        assert sweep_to_csv(rows) == (
+            "threshold,er,f1,le,lr\n"
+            "0.3,0.250000,80.000000,12.345679,100.000000\n"
+            "0.5,1.000000,0.000000,180.000000,0.000000\n"
+        )
 
     def test_scores_csv(self):
         refs = [Event(0, 3, 0.0, 0.0)]
