@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset_io import N_CLASSES, Events, normalize_azimuth
+from .dataset_io import N_CLASSES, Events, _first_of_runs, normalize_azimuth
 from .errors import (
     ClassOutOfRange,
     ElevationOutOfRange,
@@ -89,33 +89,33 @@ def _directions(vecs) -> tuple:
 
 
 def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Encode an event list into an ACCDOA tensor (3, n_classes, n_frames).
+    """Encode events into an ACCDOA tensor (3, n_classes, n_frames).
 
-    Every event must fit in [0, n_frames) label frames, and a (frame, class)
-    cell can hold at most one event; the representation has no room for two
-    same-class sources, so that case is an error rather than a silent merge.
+    Each event must lie in [0, n_frames) x [0, n_classes), one per (frame,
+    class) cell: two same-class sources do not fit, so they are an error,
+    not a merge. Errors name the first offending event in input order.
     """
     if n_frames < 0 or n_classes < 0:
-        raise SeldkitError(
-            f"frame and class counts must be non-negative, got {n_frames} "
-            f"and {n_classes}"
-        )
+        raise SeldkitError(f"frame and class counts must be non-negative, "
+                           f"got {n_frames} and {n_classes}")
     tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
-    occupied = set()
-    for ev in events:
-        if not 0 <= ev.frame < n_frames:
-            raise FrameOutOfRange(f"event frame {ev.frame} outside [0, {n_frames})")
-        if not 0 <= ev.class_id < n_classes:
-            raise ClassOutOfRange(
-                f"event class {ev.class_id} outside [0, {n_classes})"
-            )
-        cell = (ev.frame, ev.class_id)
-        if cell in occupied:
-            raise SameClassOverlap(
-                f"two events for class {ev.class_id} in frame {ev.frame}"
-            )
-        occupied.add(cell)
-        tensor[:, ev.class_id, ev.frame] = doa_to_unit_vector(ev.azimuth, ev.elevation)
+    ev = Events.of(events)
+    order = np.lexsort((ev.class_id, ev.frame))  # stable: a cell's rows in input order
+    repeat = np.empty(len(ev), dtype=bool)
+    repeat[order] = ~_first_of_runs(ev.frame[order], ev.class_id[order])
+    bad = ((ev.frame < 0) | (ev.frame >= n_frames) | (ev.class_id < 0)
+           | (ev.class_id >= n_classes) | repeat)
+    end = int(np.argmax(bad)) if bad.any() else len(ev)
+    # _unit_vectors names an elevation outside [-90, 90] before the first bad row
+    vectors = _unit_vectors(np.stack([ev.azimuth, ev.elevation], axis=-1)[:end])
+    if end < len(ev):
+        f, c = int(ev.frame[end]), int(ev.class_id[end])
+        if not 0 <= f < n_frames:
+            raise FrameOutOfRange(f"event frame {f} outside [0, {n_frames})")
+        if not 0 <= c < n_classes:
+            raise ClassOutOfRange(f"event class {c} outside [0, {n_classes})")
+        raise SameClassOverlap(f"two events for class {c} in frame {f}")
+    tensor[:, ev.class_id, ev.frame] = vectors.T
     return tensor
 
 

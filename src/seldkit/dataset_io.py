@@ -25,6 +25,7 @@ from scipy.io import wavfile
 from .errors import (
     BadMagic,
     ClassOutOfRange,
+    FrameOutOfRange,
     MalformedRow,
     MalformedWav,
     SeldkitError,
@@ -128,14 +129,15 @@ def read_foa_wav(path) -> MultichannelClip:
     scaled by the type's full range, so int16 -32768 becomes exactly -1.0.
     Non-24 kHz files are rejected rather than resampled, and so is a file
     cut short of the size its data chunk declares. Its SeldkitErrors
-    name the path, as does the OSError of a file it cannot open.
+    name the path, as does the OSError of a file it cannot open; any other
+    exception scipy raises while parsing is a MalformedWav.
     """
     _check_data_size(path)
     try:
         rate, data = wavfile.read(os.fspath(path))
-    except FileNotFoundError:
+    except (OSError, MemoryError):
         raise
-    except (ValueError, EOFError, struct.error) as exc:
+    except Exception as exc:  # scipy's parse failures have no common type
         raise MalformedWav(f"{path}: {exc}") from exc
 
     if data.ndim != 2 or data.shape[1] != N_CHANNELS:
@@ -200,7 +202,9 @@ class Events:
 
     This is the form the label reader, decode and the scorer pass along;
     iterating yields the rows as Event objects, and list(events) is the
-    form to compare or index.
+    form to compare or index. A frame or class_id that int64 cannot hold
+    exactly (2**70, 0.5, nan) raises FrameOutOfRange or ClassOutOfRange
+    rather than being cast.
     """
 
     frame: np.ndarray
@@ -210,7 +214,11 @@ class Events:
 
     def __post_init__(self):
         for name, dtype in _EVENT_COLUMNS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+            values = getattr(self, name)
+            column = np.asarray(values)
+            if dtype is np.int64 and column.dtype.kind in "fuO":
+                column = _exact_int64(name, values)
+            object.__setattr__(self, name, np.asarray(column, dtype))
         shapes = {getattr(self, name).shape for name, _ in _EVENT_COLUMNS}
         if len(shapes) != 1 or self.frame.ndim != 1:
             raise ShapeMismatch(f"event columns must be 1-D and of one length, "
@@ -230,6 +238,18 @@ class Events:
             return events
         events = list(events)
         return cls(*([getattr(e, name) for e in events] for name, _ in _EVENT_COLUMNS))
+
+
+def _exact_int64(name: str, values) -> np.ndarray:
+    """The frame or class_id column values as an object array, after
+    checking that each is an integer int64 holds; signed integer arrays
+    need no such check and never come here."""
+    exact = np.asarray(values, dtype=object)  # the values themselves, uncast
+    for value in exact.flat:
+        if not (-2 ** 63 <= value < 2 ** 63 and value == int(value)):
+            error = FrameOutOfRange if name == "frame" else ClassOutOfRange
+            raise error(f"event {name} {value} is not an integer int64 can hold")
+    return exact
 
 
 _LABEL_BYTES = b"0123456789,-\n"

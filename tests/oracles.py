@@ -13,6 +13,14 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from seldkit.accdoa import doa_to_unit_vector
+from seldkit.errors import (
+    ClassOutOfRange,
+    FrameOutOfRange,
+    SameClassOverlap,
+    SeldkitError,
+)
+
 
 def brute_force_assignment(cost):
     """Minimum-total assignment by trying every injection of the smaller
@@ -275,6 +283,34 @@ def scalar_decode(tensor, threshold):
         events.append((int(frame), int(class_id), azimuth, elevation))
     events.sort()
     return events
+
+
+def loop_encode(events, n_frames, n_classes=13):
+    """accdoa.encode as one Python step per event, the way it was written
+    before it became columnar: the same tensor and, for the first offending
+    event, the same error class and message."""
+    if n_frames < 0 or n_classes < 0:
+        raise SeldkitError(
+            f"frame and class counts must be non-negative, got {n_frames} "
+            f"and {n_classes}"
+        )
+    tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
+    occupied = set()
+    for ev in events:
+        if not 0 <= ev.frame < n_frames:
+            raise FrameOutOfRange(f"event frame {ev.frame} outside [0, {n_frames})")
+        if not 0 <= ev.class_id < n_classes:
+            raise ClassOutOfRange(
+                f"event class {ev.class_id} outside [0, {n_classes})"
+            )
+        cell = (ev.frame, ev.class_id)
+        if cell in occupied:
+            raise SameClassOverlap(
+                f"two events for class {ev.class_id} in frame {ev.frame}"
+            )
+        occupied.add(cell)
+        tensor[:, ev.class_id, ev.frame] = doa_to_unit_vector(ev.azimuth, ev.elevation)
+    return tensor
 
 
 # The three per-score averaging functions of metrics.py before they became

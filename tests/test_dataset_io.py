@@ -15,17 +15,22 @@ from seldkit import (
     Event,
     Events,
     MultichannelClip,
+    compute_seld_scores,
+    dataset_io,
+    encode,
     normalize_azimuth,
     read_feature_file,
     read_foa_wav,
     read_label_csv,
     read_manifest,
+    threshold_sweep,
     write_feature_file,
     write_label_csv,
 )
 from seldkit.errors import (
     BadMagic,
     ClassOutOfRange,
+    FrameOutOfRange,
     MalformedRow,
     MalformedWav,
     SeldkitError,
@@ -286,6 +291,41 @@ class TestEvents:
             Events([0, 1], [0, 1], [0.0], [0.0, 0.0])
         with pytest.raises(ShapeMismatch):
             Events([[0]], [[0]], [[0.0]], [[0.0]])
+
+    @pytest.mark.parametrize("bad", [2 ** 70, 2 ** 63, -(2 ** 63) - 1, 0.5, np.nan,
+                                     np.inf, np.uint64(2 ** 63)])
+    @pytest.mark.parametrize("column", ["frame", "class_id"])
+    def test_frame_and_class_int64_cannot_hold_rejected(self, tmp_path, bad, column):
+        # 2**70 was an OverflowError; 0.5 was read as 0 and scored F1 100
+        # against an event in frame 0
+        row = {"frame": 0, "class_id": 0, "azimuth": 0.0, "elevation": 0.0}
+        events = [Event(**{**row, column: bad})]
+        error = FrameOutOfRange if column == "frame" else ClassOutOfRange
+        message = f"^event {column} {bad} is not an integer int64 can hold$"
+        good = [Event(**row)]
+        for call in (lambda: Events.of(events), lambda: encode(events, 10),
+                     lambda: compute_seld_scores(events, good),
+                     lambda: compute_seld_scores(good, events),
+                     lambda: threshold_sweep(encode(good, 10), events),
+                     lambda: write_label_csv(events, tmp_path / "out.csv")):
+            with pytest.raises(error, match=message):
+                call()
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_integral_values_of_any_type_accepted(self):
+        events = Events([np.float64(3.0), 2 ** 62 + 1, np.uint64(7), True],
+                        [1.0, np.int8(2), np.uint32(3), 0],
+                        [0.0] * 4, [0.0] * 4)
+        assert events.frame.tolist() == [3, 2 ** 62 + 1, 7, 1]
+        assert events.class_id.tolist() == [1, 2, 3, 0]
+
+    def test_signed_integer_columns_skip_the_exactness_check(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("checked an integer column")
+
+        monkeypatch.setattr(dataset_io, "_exact_int64", no_check)
+        for frames in ([0, 5], np.array([0, 5]), np.array([0, 5], dtype=np.int32)):
+            assert Events(frames, frames, [0.0, 1.0], [0.0, 1.0]).frame.tolist() == [0, 5]
 
 
 class TestReadLabelCsv:
