@@ -294,9 +294,19 @@ def write_label_csv(events, path) -> None:
     Azimuth/elevation are rounded to whole degrees for emission (full
     precision stays with the in-memory events); azimuth is re-wrapped after
     rounding and elevation is clamped to [-90, 89] so the file always
-    re-reads cleanly. np.rint rounds half to even, like Python's round.
+    re-reads cleanly. np.rint rounds half to even, like Python's round. A
+    negative frame or class, which the reader rejects, raises
+    FrameOutOfRange or ClassOutOfRange naming the first one before any byte
+    is written; classes of 13 and above stay writable, as
+    read_label_csv(n_classes=...) reads them.
     """
     events = Events.of(events)
+    for column, name, error in ((events.frame, "frame", FrameOutOfRange),
+                                (events.class_id, "class", ClassOutOfRange)):
+        negative = column < 0
+        if negative.any():
+            raise error(f"refusing to write event {name} "
+                        f"{column[np.argmax(negative)]}, below 0")
     if not (np.isfinite(events.azimuth).all() and np.isfinite(events.elevation).all()):
         raise SeldkitError("refusing to write a non-finite direction")
     az = normalize_azimuth(np.rint(events.azimuth)).astype(np.int64)
@@ -409,16 +419,18 @@ def read_manifest(path) -> DatasetManifest:
 
     Each clip's features are written as <audio stem>.slsa, so two rows whose
     audio paths share a stem (the same path twice, or a/x.wav and b/x.wav)
-    are rejected, naming both lines.
+    are rejected, naming both lines. A line holding a NUL byte, which no
+    path can hold, is rejected, naming the line.
     """
     entries = []
     stem_lines = {}
     with _open_text_input(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_without_nul(path, fh))
         required = {"audio_path", "label_path", "split"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise MalformedRow(f"{path}: manifest needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # blank lines are skipped but counted
             if None in row.values():
                 raise MalformedRow(f"{path}:{lineno}: missing fields")
             audio = row["audio_path"].strip()
@@ -436,6 +448,14 @@ def read_manifest(path) -> DatasetManifest:
             stem_lines[stem] = lineno
             entries.append(ManifestEntry(audio, label, row["split"].strip()))
     return DatasetManifest(entries)
+
+
+def _without_nul(path, lines):
+    """The lines, raising MalformedRow naming the first that holds a NUL."""
+    for lineno, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise MalformedRow(f"{path}:{lineno}: NUL byte")
+        yield line
 
 
 @contextmanager

@@ -26,14 +26,11 @@ _EPS_EIGVEC = 1e-9
 _SMOOTH = (3, 3)
 _BLOCK_FRAMES = 128
 _SQUARINGS = 10
-_RANK1_TOL = 1e-13
-# (row, column) of the 10 lower-triangle entries of a 4x4 covariance; which
-# of them lie on the diagonal and which below it; and the position in _OFF
-# of each entry below it
-_TRIL_A, _TRIL_B = np.tril_indices(4)
-_DIAG = np.flatnonzero(_TRIL_A == _TRIL_B)
-_OFF = np.flatnonzero(_TRIL_A > _TRIL_B)
-_OFF_AT = {(int(_TRIL_A[i]), int(_TRIL_B[i])): k for k, i in enumerate(_OFF)}
+_RANK1_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+# (row, column) of the 6 entries below the diagonal of a 4x4 covariance, in
+# the order the kernel holds them, and the position in that order of each
+_OFF_A, _OFF_B = np.tril_indices(4, -1)
+_OFF_AT = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(_OFF_A, _OFF_B))}
 
 
 @dataclass(frozen=True)
@@ -104,47 +101,48 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     """Direction estimate per TF bin of a stft array from the smoothed
     spatial covariance.
 
-    For each retained (f, t): average x*x^H over a smooth = (freq, time)
-    neighborhood (clipped at the edges, so corner cells average fewer
-    terms), take the principal eigenvector u of the 4x4 result, and read
-    the direction off the component ratios Re(u[1:4]/u[0]). The ratio
-    cancels the eigenvector's arbitrary global phase, so no separate sign
-    convention is needed. Bins where the W component nearly vanishes
-    (|u[0]| <= 1e-9) carry no usable direction and come out zero; vectors
-    longer than 1 are rescaled onto the unit sphere.
+    For each retained (f, t): sum x*x^H over a smooth = (freq, time)
+    neighborhood (clipped at the edges, so corner cells sum fewer terms;
+    the sum is not divided by their number, as a positive scale leaves an
+    eigenvector as it is), take the principal eigenvector u of the 4x4
+    result, and read the direction off the component ratios
+    Re(u[1:4]/u[0]). The ratio cancels the eigenvector's arbitrary global
+    phase, so no separate sign convention is needed. Bins where the W
+    component nearly vanishes (|u[0]| <= 1e-9) carry no usable direction
+    and come out zero; vectors longer than 1 are rescaled onto the unit
+    sphere.
 
     The covariance is summed directly (shifted adds, no running sums, so
     quiet bins after loud ones keep full precision) in blocks of time
     frames, each read with the halo its window needs. Working memory is
     O(n_bins x block) whatever the clip length, and every output frame is
-    the same whatever the block size. Only the lower triangle of each
-    covariance is formed. Its principal eigenvector comes from repeated
-    squaring, each bin stopping one squaring after its matrix passes a
-    rank-1 certificate; np.linalg.eigh handles the bins that never pass,
-    such as ties at the top eigenvalue (see _principal_vectors). A
-    covariance that is not finite (a non-finite spec, or one whose
-    products overflow float64) raises SeldkitError.
+    the same whatever the block size. The sums are formed straight into the
+    kernel's layout, the 4 diagonal entries and the 6 below them. Their
+    principal eigenvector comes from repeated squaring, each bin stopping
+    one squaring after its matrix passes a rank-1 certificate;
+    np.linalg.eigh handles the bins that never pass, such as ties at the
+    top eigenvalue (see _principal_vectors). A covariance that is not
+    finite (a non-finite spec, or one whose products overflow float64)
+    raises SeldkitError.
 
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
     x = np.asarray(spec)[:, :n_bins, :]
-    halos, counts = _smoothing(smooth, *x.shape[1:])
+    halos = _smoothing(smooth)
     intensity = np.empty((3,) + x.shape[1:])
     for lo, start, stop, hi in _blocks(x.shape[2], halos[1]):
         intensity[:, :, start:stop] = _intensity_block(
-            x[:, :, lo:hi], lo, start, stop, halos, counts)
+            x[:, :, lo:hi], lo, start, stop, halos)
     return intensity
 
 
-def _smoothing(smooth: tuple, n_f: int, n_t: int) -> tuple:
+def _smoothing(smooth: tuple) -> list:
     """Check smooth = (freq, time); return the window's (before, after) halo
-    per axis and the cells it covers at each bin and frame of the clip."""
+    per axis."""
     size_f, size_t = smooth
     if size_f < 1 or size_t < 1:
         raise SeldkitError(f"smoothing window must be positive, got {smooth}")
-    halos = [((size - 1) // 2, size // 2) for size in (size_f, size_t)]
-    return halos, [_box_sum(np.ones(n), *halo, axis=0)
-                   for n, halo in zip((n_f, n_t), halos)]
+    return [((size - 1) // 2, size // 2) for size in (size_f, size_t)]
 
 
 def _blocks(n_t: int, halo: tuple = (0, 0)):
@@ -155,98 +153,124 @@ def _blocks(n_t: int, halo: tuple = (0, 0)):
         yield max(start - halo[0], 0), start, stop, min(stop + halo[1], n_t)
 
 
-def _intensity_block(block, lo: int, start: int, stop: int, halos: list,
-                     counts: list) -> np.ndarray:
+def _intensity_block(block, lo: int, start: int, stop: int,
+                     halos: list) -> np.ndarray:
     """Intensity of frames [start, stop) from block, a stft array's frames
-    [lo, hi) of _blocks; halos and counts are the clip's _smoothing."""
+    [lo, hi) of _blocks; halos are the clip's _smoothing.
+
+    The 10 products x_a conj(x_b), a >= b, are written into one array; the
+    diagonal ones are complex products like the rest, and the first box
+    sum copies their real parts out, so the window sums arrive as the
+    kernel's (d, o)."""
+    block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float64))
+    conj = block.conj()
+    products = np.empty((10,) + block.shape[1:], dtype=block.dtype)
     # float64 overflow leaves non-finite sums, which _principal_vectors rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = block[_TRIL_A] * block[_TRIL_B].conj()
-        sums = _box_sum(sums, *halos[0], axis=1)
-        sums = _box_sum(sums, *halos[1], axis=2, start=start - lo, stop=stop - lo)
-        mean = sums / (counts[0][:, None] * counts[1][start:stop])
-    return _direction(_principal_vectors(mean))
+        for a in range(4):
+            np.multiply(block[a], conj[a], out=products[a])
+        for (a, b), k in _OFF_AT.items():
+            np.multiply(block[a], conj[b], out=products[4 + k])
+        # each step's inputs are freed as it ends, so the thread's heap
+        # holds only (d, o) and the kernel's own arrays while the kernel runs
+        del block, conj
+        sums = [_box_sum(part, *halos[0], axis=1)
+                for part in (products[:4].real, products[4:])]
+        del products
+        d, o = [_box_sum(part, *halos[1], axis=2, start=start - lo, stop=stop - lo)
+                for part in sums]
+        del sums
+    return _direction(_principal_vectors(d, o))
 
 
-def _principal_vectors(tril: np.ndarray) -> np.ndarray:
+def _principal_vectors(d: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Unit principal eigenvectors, shape (..., 4), of the Hermitian 4x4
-    matrices whose lower triangles are tril, shape (10, ...) in
-    (_TRIL_A, _TRIL_B) order.
+    matrices whose diagonal entries are d, float shape (4, ...), and whose
+    entries below the diagonal are o, complex shape (6, ...) in _OFF_AT
+    order.
 
     Each matrix is scaled to unit trace and squared, back to unit trace
     after each squaring, so s squarings shrink every eigenvalue below the
     top one by its ratio to the top one raised to 2**s. A matrix B is
-    certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL, which
-    leaves less than _RANK1_TOL / 2 of its trace off the principal
-    direction. Each bin stops at its own depth: ||B||_F^2 = tr(B^2) is the
-    sum the next squaring scales by, so B's certificate comes free with
-    B^2, and a bin whose B passes takes its vector from B^2, where that
-    share is about squared, below round-off. The vector is the column with
-    the largest diagonal entry, normalized; the bins left are compacted,
-    so each squaring works on them only. After _SQUARINGS squarings the
-    certificate is checked on the result itself. Bins that fail it there
-    (ties and near-ties at the top eigenvalue) and bins with no positive
-    finite trace go to np.linalg.eigh, built for those bins only. A
-    non-finite entry raises SeldkitError: the input was not finite or the
-    covariance overflowed float64.
+    certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL. With B at
+    unit trace and r the share of its trace off the principal direction,
+    1 - ||B||_F^2 >= 1 - (1 - r)^2 - r^2 = 2r(1 - r), so a B that passes
+    keeps r < about _RANK1_TOL / 2. B^2, where the vector is read, keeps at
+    most r^2 / (1 - r)^2 of its trace off that direction, about
+    _RANK1_TOL^2 / 4 = eps / 4 for _RANK1_TOL = sqrt(eps): below float64
+    round-off, so a tighter certificate would only square bins longer. Each
+    bin stops at its own depth: ||B||_F^2 = tr(B^2) is the sum the next
+    squaring scales by, so B's certificate comes free with B^2. The vector
+    is the column of B^2 with the largest diagonal entry, normalized; the
+    bins left are compacted, so each squaring works on them only. Bins
+    whose B still fails after _SQUARINGS squarings (ties and near-ties at
+    the top eigenvalue) and bins with no positive finite trace go to
+    np.linalg.eigh, built for those bins only. A non-finite entry raises
+    SeldkitError: the input was not finite or the covariance overflowed
+    float64.
     """
-    shape = tril.shape[1:]
-    tril = tril.reshape(10, -1)
-    if not np.isfinite(tril).all():
+    shape = d.shape[1:]
+    d, o = d.reshape(4, -1), o.reshape(6, -1)
+    if not (np.isfinite(d).all() and np.isfinite(o).all()):
         raise SeldkitError("spatial covariance is not finite (input non-finite "
                            "or overflows float64)")
-    trace = tril[_DIAG].real.sum(axis=0)
+    trace = d.sum(axis=0)
     ok = (trace > 0) & (trace < np.inf)
     live = np.flatnonzero(ok)
+    # d_live, o_live: the entries of the bins still squared; np.compress
+    # keeps each row C-contiguous as bins leave
+    d_live, o_live = (d, o) if live.size == ok.size else (
+        np.compress(ok, d, axis=1), np.compress(ok, o, axis=1))
     scale = 1.0 / trace[live]
-    # d, o: diagonal and strictly lower entries of the bins still squared;
-    # np.compress keeps each row C-contiguous as bins leave
-    d = tril[_DIAG[:, None], live].real * scale
-    o = tril[_OFF[:, None], live] * scale
-    u = np.empty((tril.shape[1], 4), dtype=tril.dtype)
-    for squarings in range(_SQUARINGS + 1):
+    d_live, o_live = d_live * scale, o_live * scale
+    u = np.empty((d.shape[1], 4), dtype=o.dtype)
+    for _ in range(_SQUARINGS + 1):
         if not live.size:
             break
-        trace = d.sum(axis=0)
-        if squarings < _SQUARINGS:
-            d, o, frobenius = _square(d, o)
-        else:
-            frobenius = (d * d).sum(axis=0) + 2 * (o.real ** 2 + o.imag ** 2).sum(axis=0)
+        trace = d_live.sum(axis=0)
+        d_live, o_live, frobenius = _square(d_live, o_live)
         done = trace * trace - frobenius < _RANK1_TOL * trace * trace
         if done.any():
-            u[live[done]] = _unit_top_columns(np.compress(done, d, axis=1),
-                                              np.compress(done, o, axis=1))
+            u[live[done]] = _unit_top_columns(np.compress(done, d_live, axis=1),
+                                              np.compress(done, o_live, axis=1))
             keep = ~done
             live = live[keep]
-            d, o = np.compress(keep, d, axis=1), np.compress(keep, o, axis=1)
+            d_live = np.compress(keep, d_live, axis=1)
+            o_live = np.compress(keep, o_live, axis=1)
     redo = np.concatenate([np.flatnonzero(~ok), live])
     if redo.size:
-        cov = np.zeros((redo.size, 4, 4), dtype=tril.dtype)
-        cov[:, _TRIL_A, _TRIL_B] = tril[:, redo].T
+        cov = np.zeros((redo.size, 4, 4), dtype=o.dtype)
+        cov[:, range(4), range(4)] = d[:, redo].T
+        cov[:, _OFF_A, _OFF_B] = o[:, redo].T
         u[redo] = np.linalg.eigh(cov)[1][..., -1]
     return u.reshape(shape + (4,))
 
 
 def _square(d: np.ndarray, o: np.ndarray) -> tuple:
     """(B^2 / tr(B^2), tr(B^2)) for the Hermitian matrices B whose
-    diagonal and strictly lower entries (in _OFF order) are d, shape
+    diagonal and strictly lower entries (in _OFF_AT order) are d, shape
     (4, m), and o, shape (6, m); B^2 is given the same way.
 
     (B^2)[a, a] = B[a, a]^2 + sum_c |B[a, c]|^2 and, for a > b,
     (B^2)[a, b] = (B[a, a] + B[b, b]) B[a, b] + sum_c B[a, c] B[c, b],
-    with c running over the indices other than a and b.
+    with c running over the indices other than a and b. Each product is
+    written into a buffer made once per call.
     """
     conj = o.conj()
-    power = o.real ** 2 + o.imag ** 2
     d_new = d * d
     o_new = np.empty_like(o)
+    power, work = np.empty(d.shape[1]), np.empty(d.shape[1])
+    product = np.empty(d.shape[1], dtype=o.dtype)
     for (a, b), k in _OFF_AT.items():
-        d_new[a] += power[k]
-        d_new[b] += power[k]
-        o_new[k] = (d[a] + d[b]) * o[k]
+        np.square(o[k].real, out=power)
+        power += np.square(o[k].imag, out=work)
+        d_new[a] += power
+        d_new[b] += power
+        np.multiply(np.add(d[a], d[b], out=work), o[k], out=o_new[k])
         for c in range(4):
             if c != a and c != b:
-                o_new[k] += _entry(o, conj, a, c) * _entry(o, conj, c, b)
+                o_new[k] += np.multiply(_entry(o, conj, a, c), _entry(o, conj, c, b),
+                                        out=product)
     frobenius = d_new.sum(axis=0)
     inv = 1.0 / frobenius
     d_new *= inv
@@ -269,7 +293,7 @@ def _unit_top_columns(d: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 def _entry(o: np.ndarray, conj: np.ndarray, a: int, b: int) -> np.ndarray:
     """Entry (a, b), a != b, of Hermitian matrices given their strictly
-    lower entries o (in _OFF order) and the conjugates of those."""
+    lower entries o (in _OFF_AT order) and the conjugates of those."""
     return o[_OFF_AT[a, b]] if a > b else conj[_OFF_AT[b, a]]
 
 
@@ -299,14 +323,14 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     """
     n_t = _n_frames(clip.samples, STFT_WINDOW, STFT_HOP)
     window = hann(STFT_WINDOW, sym=False)
-    halos, counts = _smoothing(_SMOOTH, N_FREQ_BINS, n_t)
+    halos = _smoothing(_SMOOTH)
     out = np.empty((7, N_FREQ_BINS, n_t), dtype=np.float32)
     for lo, start, stop, hi in _blocks(n_t, halos[1]):
         spec = _stft_block(clip.samples, lo, hi, window, STFT_HOP)
         # intensity first: a covariance that overflows raises SeldkitError
         # before the power spectrum would warn
         out[4:, :, start:stop] = _intensity_block(spec[:, :N_FREQ_BINS], lo, start,
-                                                  stop, halos, counts)
+                                                  stop, halos)
         out[:4, :, start:stop] = log_linear_spectrogram(spec[..., start - lo:stop - lo])
     return out
 

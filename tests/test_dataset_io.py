@@ -450,6 +450,39 @@ class TestWriteLabelCsv:
         write_label_csv([Event(0, 0, 0.0, 0.0)], tmp_path / "out.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
+    @pytest.mark.parametrize("rows, error, message", [
+        ([Event(0, 0, 0.0, 0.0), Event(-1, 0, 0.0, 0.0)], FrameOutOfRange,
+         "event frame -1, below 0"),
+        ([Event(3, -2, 0.0, 0.0), Event(-5, 1, 0.0, 0.0)], FrameOutOfRange,
+         "event frame -5, below 0"),
+        ([Event(3, 2, 0.0, 0.0), Event(4, -1, 0.0, 0.0), Event(5, -3, 0.0, 0.0)],
+         ClassOutOfRange, "event class -1, below 0"),
+        ([Event(-(2 ** 63), 0, 0.0, 0.0)], FrameOutOfRange,
+         f"event frame {-(2 ** 63)}, below 0"),
+    ])
+    def test_negative_frame_or_class_refused_before_writing(self, tmp_path, rows,
+                                                            error, message):
+        # the reader rejects negative frames and classes, so the writer must
+        # not emit them: write_label_csv([Event(-1, ...)]) used to read back
+        # as "frame -1 outside [0, 2^63)"
+        path = tmp_path / "out.csv"
+        for events in (rows, Events.of(rows)):
+            with pytest.raises(error, match=f"^refusing to write {message}$"):
+                write_label_csv(events, path)
+            assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_class_the_reader_takes_round_trips(self, tmp_path):
+        # classes of 13 and above stay writable: read_label_csv(n_classes=...)
+        # reads them back
+        events = [Event(0, 0, 10.0, 5.0), Event(0, 13, -20.0, 0.0),
+                  Event(2 ** 63 - 1, 40, 170.0, -90.0)]
+        path = tmp_path / "out.csv"
+        write_label_csv(events, path)
+        assert list(read_label_csv(path, n_classes=41)) == events
+        with pytest.raises(ClassOutOfRange):
+            read_label_csv(path)
+
     @pytest.mark.parametrize("az, el", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
     def test_non_finite_direction_refused(self, tmp_path, az, el):
         path = tmp_path / "out.csv"
@@ -609,6 +642,18 @@ class TestReadManifest:
         with pytest.raises(MalformedRow, match="m.csv:3"):
             read_manifest(path)
 
+    def test_errors_name_the_line_after_blank_lines(self, tmp_path):
+        # rows used to be numbered by count, so each blank line moved every
+        # later error one line up
+        path = tmp_path / "m.csv"
+        path.write_text("audio_path,label_path,split\n\na.wav,a.csv,train\n\nb.wav\n")
+        with pytest.raises(MalformedRow, match="m.csv:5: missing fields"):
+            read_manifest(path)
+        path.write_text(
+            "audio_path,label_path,split\n\nx.wav,a.csv,train\n\n\nx.wav,b.csv,val\n")
+        with pytest.raises(SeldkitError, match=r"m.csv:6: .*m.csv:3$"):
+            read_manifest(path)
+
     def test_unreadable_text_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         for blob in (b"\xff\xfeaudio_path,label_path,split\n",
@@ -616,6 +661,24 @@ class TestReadManifest:
             path.write_bytes(blob)
             with pytest.raises(MalformedRow, match="m.csv"):
                 read_manifest(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("audio_path,label_path,split\na\0.wav,a.csv,train\n", 2),
+        ("audio_path,label_path,split\na.wav,a.csv,train\nb.wav,b\0.csv,val\n", 3),
+        ("audio_path,label_path,split\na.wav,a.csv,tr\0ain\n", 2),
+        ("audio_path,label_path,split,note\na.wav,a.csv,train,\0\n", 2),
+        ("audio_path,label_path,split\r\na.wav,a.csv,train\r\n\0\r\n", 3),
+        ('audio_path,label_path,split\n"a\nb\0.wav",a.csv,train\n', 3),
+        ("audio_path,label_path,split,\0\na.wav,a.csv,train\n", 1),
+    ])
+    def test_nul_byte_rejected_naming_the_line(self, tmp_path, text, line):
+        # no path can hold a NUL: extract used to exit 2 with "ValueError:
+        # embedded null byte" when opening such an audio path
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        message = f"^{re.escape(str(path))}:{line}: NUL byte$"
+        with pytest.raises(MalformedRow, match=message):
+            read_manifest(path)
 
     def test_duplicate_audio(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -253,6 +253,26 @@ def hermitian(rng, eigenvalues):
     return (q * np.asarray(eigenvalues)[:, None, :]) @ q.conj().transpose(0, 2, 1)
 
 
+def kernel_layout(matrices):
+    """The (d, o) that features._principal_vectors takes for (..., 4, 4)
+    Hermitian matrices: the diagonal, shape (4, ...), and the entries below
+    it row by row, shape (6, ...)."""
+    rows, cols = np.tril_indices(4, -1)
+    d = np.diagonal(matrices, axis1=-2, axis2=-1).real
+    return (np.ascontiguousarray(np.moveaxis(d, -1, 0)),
+            np.ascontiguousarray(np.moveaxis(matrices[..., rows, cols], -1, 0)))
+
+
+def from_kernel_layout(d, o):
+    """(..., 4, 4) matrices holding d on the diagonal and o below it, the
+    lower triangle np.linalg.eigh reads."""
+    rows, cols = np.tril_indices(4, -1)
+    matrices = np.zeros(d.shape[1:] + (4, 4), dtype=o.dtype)
+    matrices[..., range(4), range(4)] = np.moveaxis(d, 0, -1)
+    matrices[..., rows, cols] = np.moveaxis(o, 0, -1)
+    return matrices
+
+
 def principal_vectors(matrices, monkeypatch):
     """features._principal_vectors of (n, 4, 4) Hermitian matrices, and how
     many of them it handed to np.linalg.eigh."""
@@ -262,10 +282,9 @@ def principal_vectors(matrices, monkeypatch):
         handed.append(len(a))
         return eigh(a)
 
-    a, b = np.tril_indices(4)
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", counting)
-        u = features._principal_vectors(np.ascontiguousarray(matrices[:, a, b].T))
+        u = features._principal_vectors(*kernel_layout(matrices))
     assert u.shape == (len(matrices), 4)
     return u, sum(handed)
 
@@ -377,9 +396,11 @@ class TestPrincipalVectors:
         rng = np.random.default_rng(35)
         rows = [[1.0, 0.0, 0.0, 0.0]]
         for s in range(1, features._SQUARINGS + 1):
-            # the second eigenvalue keeps about 1e-9 of the trace after
-            # s - 1 squarings (fails) and about 1e-18 after s (passes)
-            r = 1e-9 ** (1 / 2 ** (s - 1))
+            # the second eigenvalue keeps about tol^(3/4) of the trace after
+            # s - 1 squarings, which fails the certificate 1 - ||B||^2 < tol
+            # by a factor of about 2 tol^(-1/4), and about tol^(3/2) after s,
+            # which passes it by a factor of about tol^(-1/2) / 2
+            r = features._RANK1_TOL ** (0.75 / 2 ** (s - 1))
             rows.append([1.0, r, 0.5 * r, 0.1 * r])
         eigenvalues = np.repeat(rows, 8, axis=0)
         eigenvalues *= 10.0 ** rng.uniform(-3, 3, (len(eigenvalues), 1))
@@ -415,12 +436,15 @@ class TestPrincipalVectors:
         kernel, blocks = features._principal_vectors, []
         with monkeypatch.context() as patch:
             patch.setattr(features, "_principal_vectors",
-                          lambda tril: blocks.append(tril) or kernel(tril))
+                          lambda d, o: blocks.append((d, o)) or kernel(d, o))
             salsa(clip)
-        assert blocks[0].shape == (10, 200, 128)
+        assert len(blocks) == 2
+        d, o = blocks[0]
+        assert d.shape == (4, 200, 128) and d.dtype == np.float64
+        assert o.shape == (6, 200, 128) and o.dtype == np.complex128
         tracemalloc.start()
         try:
-            kernel(blocks[0])
+            kernel(d, o)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,12 +522,11 @@ class TestSalsa:
     def test_edge_clips_give_the_eigh_bytes(self, monkeypatch):
         # silent, W-only, DC, tiny and huge clips come out as with eigh on
         # every bin, and quietly
-        rows, cols = np.tril_indices(4)
+        calls = []
 
-        def eigh_only(tril):
-            cov = np.zeros(tril.shape[1:] + (4, 4), dtype=tril.dtype)
-            cov[..., rows, cols] = np.moveaxis(tril, 0, -1)
-            return np.linalg.eigh(cov)[1][..., -1]
+        def eigh_only(d, o):
+            calls.append(d.shape)
+            return np.linalg.eigh(from_kernel_layout(d, o))[1][..., -1]
 
         noise = helpers.make_noise_clip(n_samples=12000, seed=24).samples
         wave = helpers.make_plane_wave_clip(30.0, 10.0, n_samples=12000, seed=25).samples
@@ -517,9 +540,11 @@ class TestSalsa:
         for samples in clips:
             clip = MultichannelClip(samples)
             got = salsa(clip)
+            calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(features, "_principal_vectors", eigh_only)
                 assert_array_equal(got, salsa(clip))
+            assert calls == [(4, 200, got.shape[2])]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_raises(self):
