@@ -237,7 +237,8 @@ class Events:
         if isinstance(events, cls):
             return events
         events = list(events)
-        return cls(*([getattr(e, name) for e in events] for name, _ in _EVENT_COLUMNS))
+        return cls([e.frame for e in events], [e.class_id for e in events],
+                   [e.azimuth for e in events], [e.elevation for e in events])
 
 
 def _exact_int64(name: str, values) -> np.ndarray:
@@ -338,7 +339,9 @@ def _read_label_rows(path, n_classes: int) -> list:
     events = []
     seen = set()
     with _open_text_input(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 5:

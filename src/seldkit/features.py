@@ -117,13 +117,12 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
     frames, each read with the halo its window needs. Working memory is
     O(n_bins x block) whatever the clip length, and every output frame is
     the same whatever the block size. The sums are formed straight into the
-    kernel's layout, the 4 diagonal entries and the 6 below them. Their
-    principal eigenvector comes from repeated squaring, each bin stopping
-    one squaring after its matrix passes a rank-1 certificate;
-    np.linalg.eigh handles the bins that never pass, such as ties at the
-    top eigenvalue (see _principal_vectors). A covariance that is not
-    finite (a non-finite spec, or one whose products overflow float64)
-    raises SeldkitError.
+    kernel's layout, the 4 diagonal entries and the 6 below them. Repeated
+    squaring brings each bin to a rank-1 matrix whose top column lies
+    along u, so no unit eigenvector is formed; np.linalg.eigh takes the
+    bins that never get there, such as ties at the top eigenvalue (see
+    _principal_directions). A covariance that is not finite (a non-finite
+    spec, or one whose products overflow float64) raises SeldkitError.
 
     Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
     """
@@ -165,7 +164,7 @@ def _intensity_block(block, lo: int, start: int, stop: int,
     block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float64))
     conj = block.conj()
     products = np.empty((10,) + block.shape[1:], dtype=block.dtype)
-    # float64 overflow leaves non-finite sums, which _principal_vectors rejects
+    # float64 overflow leaves non-finite sums, which _principal_directions rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(4):
             np.multiply(block[a], conj[a], out=products[a])
@@ -180,14 +179,14 @@ def _intensity_block(block, lo: int, start: int, stop: int,
         d, o = [_box_sum(part, *halos[1], axis=2, start=start - lo, stop=stop - lo)
                 for part in sums]
         del sums
-    return _direction(_principal_vectors(d, o))
+    return _principal_directions(d, o)
 
 
-def _principal_vectors(d: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Unit principal eigenvectors, shape (..., 4), of the Hermitian 4x4
-    matrices whose diagonal entries are d, float shape (4, ...), and whose
-    entries below the diagonal are o, complex shape (6, ...) in _OFF_AT
-    order.
+def _principal_directions(d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Intensity (I_x, I_y, I_z), float shape (3, ...), read off the
+    principal eigenvectors of the Hermitian 4x4 matrices whose diagonal
+    entries are d, float shape (4, ...), and whose entries below the
+    diagonal are o, complex shape (6, ...) in _OFF_AT order.
 
     Each matrix is scaled to unit trace and squared, back to unit trace
     after each squaring, so s squarings shrink every eigenvalue below the
@@ -195,19 +194,19 @@ def _principal_vectors(d: np.ndarray, o: np.ndarray) -> np.ndarray:
     certified rank-1 when 1 - ||B||_F^2 / tr(B)^2 < _RANK1_TOL. With B at
     unit trace and r the share of its trace off the principal direction,
     1 - ||B||_F^2 >= 1 - (1 - r)^2 - r^2 = 2r(1 - r), so a B that passes
-    keeps r < about _RANK1_TOL / 2. B^2, where the vector is read, keeps at
-    most r^2 / (1 - r)^2 of its trace off that direction, about
+    keeps r < about _RANK1_TOL / 2. B^2, where the direction is read, keeps
+    at most r^2 / (1 - r)^2 of its trace off that direction, about
     _RANK1_TOL^2 / 4 = eps / 4 for _RANK1_TOL = sqrt(eps): below float64
     round-off, so a tighter certificate would only square bins longer. Each
     bin stops at its own depth: ||B||_F^2 = tr(B^2) is the sum the next
-    squaring scales by, so B's certificate comes free with B^2. The vector
-    is the column of B^2 with the largest diagonal entry, normalized; the
-    bins left are compacted, so each squaring works on them only. Bins
-    whose B still fails after _SQUARINGS squarings (ties and near-ties at
-    the top eigenvalue) and bins with no positive finite trace go to
-    np.linalg.eigh, built for those bins only. A non-finite entry raises
-    SeldkitError: the input was not finite or the covariance overflowed
-    float64.
+    squaring scales by, so B's certificate comes free with B^2. The
+    direction is read off B^2's column with the largest diagonal entry, as
+    it stands; the bins left are compacted, so each squaring works on them
+    only. Bins whose B still fails after _SQUARINGS squarings (ties and
+    near-ties at the top eigenvalue) and bins with no positive finite
+    trace go to np.linalg.eigh, built for those bins only. A non-finite
+    entry raises SeldkitError: the input was not finite or the covariance
+    overflowed float64.
     """
     shape = d.shape[1:]
     d, o = d.reshape(4, -1), o.reshape(6, -1)
@@ -223,7 +222,7 @@ def _principal_vectors(d: np.ndarray, o: np.ndarray) -> np.ndarray:
         np.compress(ok, d, axis=1), np.compress(ok, o, axis=1))
     scale = 1.0 / trace[live]
     d_live, o_live = d_live * scale, o_live * scale
-    u = np.empty((d.shape[1], 4), dtype=o.dtype)
+    intensity = np.empty((3, d.shape[1]))
     for _ in range(_SQUARINGS + 1):
         if not live.size:
             break
@@ -231,19 +230,17 @@ def _principal_vectors(d: np.ndarray, o: np.ndarray) -> np.ndarray:
         d_live, o_live, frobenius = _square(d_live, o_live)
         done = trace * trace - frobenius < _RANK1_TOL * trace * trace
         if done.any():
-            u[live[done]] = _unit_top_columns(np.compress(done, d_live, axis=1),
-                                              np.compress(done, o_live, axis=1))
-            keep = ~done
-            live = live[keep]
-            d_live = np.compress(keep, d_live, axis=1)
-            o_live = np.compress(keep, o_live, axis=1)
+            intensity[:, live[done]] = _direction(_top_columns(
+                np.compress(done, d_live, axis=1), np.compress(done, o_live, axis=1)))
+            live, d_live, o_live = [np.compress(~done, x, axis=-1)
+                                    for x in (live, d_live, o_live)]
     redo = np.concatenate([np.flatnonzero(~ok), live])
     if redo.size:
         cov = np.zeros((redo.size, 4, 4), dtype=o.dtype)
         cov[:, range(4), range(4)] = d[:, redo].T
         cov[:, _OFF_A, _OFF_B] = o[:, redo].T
-        u[redo] = np.linalg.eigh(cov)[1][..., -1]
-    return u.reshape(shape + (4,))
+        intensity[:, redo] = _direction(np.linalg.eigh(cov)[1][..., -1].T)
+    return intensity.reshape((3,) + shape)
 
 
 def _square(d: np.ndarray, o: np.ndarray) -> tuple:
@@ -278,17 +275,17 @@ def _square(d: np.ndarray, o: np.ndarray) -> tuple:
     return d_new, o_new, frobenius
 
 
-def _unit_top_columns(d: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Each matrix's column with the largest diagonal entry, normalized,
-    shape (m, 4), for matrices given as in _square."""
-    conj = o.conj()
+def _top_columns(d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Each matrix's column with the largest diagonal entry, shape (4, m),
+    for matrices given as in _square."""
     top = np.argmax(d, axis=0)
-    u = np.empty((d.shape[1], 4), dtype=o.dtype)
-    for a in range(4):
-        u[:, a] = np.choose(top, [d[a] if b == a else _entry(o, conj, a, b)
-                                  for b in range(4)])
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    return u
+    at = np.arange(4)[:, None] == top  # at[b]: the bins whose top column is b
+    column = np.empty((4, d.shape[1]), dtype=o.dtype)
+    np.copyto(column, d, where=at)
+    for (a, b), k in _OFF_AT.items():
+        np.copyto(column[a], o[k], where=at[b])
+        np.conjugate(o[k], out=column[b], where=at[a])
+    return column
 
 
 def _entry(o: np.ndarray, conj: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -297,19 +294,19 @@ def _entry(o: np.ndarray, conj: np.ndarray, a: int, b: int) -> np.ndarray:
     return o[_OFF_AT[a, b]] if a > b else conj[_OFF_AT[b, a]]
 
 
-def _direction(u: np.ndarray) -> np.ndarray:
-    """(I_x, I_y, I_z) from principal eigenvectors u of shape (..., 4)."""
-    u0 = u[..., 0]
-    usable = np.abs(u0) > _EPS_EIGVEC
-    safe_u0 = np.where(usable, u0, 1.0)
-    ratios = (u[..., 1:4] / safe_u0[..., None]).real
-    ratios = np.where(usable[..., None], ratios, 0.0)
-
-    # ratios arrive in channel order (Y, Z, X); emit Cartesian (x, y, z)
-    intensity = np.stack([ratios[..., 2], ratios[..., 0], ratios[..., 1]])
-    norm = np.linalg.norm(intensity, axis=0)
-    intensity /= np.maximum(norm, 1.0)
-    return np.where(norm < _EPS_EIGVEC, 0.0, intensity)
+def _direction(c: np.ndarray) -> np.ndarray:
+    """(I_x, I_y, I_z), shape (3, m), read as in eigenvector_intensity off
+    vectors c, shape (4, m), along principal eigenvectors u at any scale:
+    |u0| > 1e-9 is |c0|^2 > 1e-18 ||c||^2."""
+    power = np.square(c.real) + np.square(c.imag)
+    usable = power[0] > _EPS_EIGVEC ** 2 * power.sum(axis=0)
+    # c arrives in channel order (W, Y, Z, X); emit Cartesian (x, y, z).
+    # Dividing by inf zeroes the bins with no usable W
+    ratios = (c[1:] / np.where(usable, c[0], np.inf)).real[[2, 0, 1]]
+    norm = np.linalg.norm(ratios, axis=0)
+    ratios /= np.maximum(norm, 1.0)
+    ratios[:, norm < _EPS_EIGVEC] = 0.0
+    return ratios
 
 
 def salsa(clip: MultichannelClip) -> np.ndarray:

@@ -312,6 +312,33 @@ class TestEvents:
                 call()
         assert not (tmp_path / "out.csv").exists()
 
+    def test_rows_and_columns_give_equal_events(self):
+        rng = np.random.default_rng(3)
+        frame, class_id = rng.integers(0, 2 ** 62, 200), rng.integers(0, 13, 200)
+        az, el = rng.uniform(-180, 180, 200), rng.uniform(-90, 90, 200)
+        rows = [Event(*values) for values in zip(frame.tolist(), class_id.tolist(),
+                                                 az.tolist(), el.tolist())]
+        from_rows, from_columns = Events.of(rows), Events(frame, class_id, az, el)
+        for name in ("frame", "class_id", "azimuth", "elevation"):
+            got, want = getattr(from_rows, name), getattr(from_columns, name)
+            assert got.dtype == want.dtype
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [2 ** 70, 0.5])
+    @pytest.mark.parametrize("column", ["frame", "class_id"])
+    def test_rows_and_columns_reject_alike(self, bad, column):
+        row = {"frame": 3, "class_id": 1, "azimuth": 0.0, "elevation": 0.0}
+        rows = [Event(**row), Event(**{**row, column: bad})]
+        columns = {name: [getattr(e, name) for e in rows] for name in row}
+        raised = []
+        for call in (lambda: Events.of(rows), lambda: Events(**columns)):
+            with pytest.raises(SeldkitError) as info:
+                call()
+            raised.append((type(info.value), str(info.value)))
+        error = FrameOutOfRange if column == "frame" else ClassOutOfRange
+        assert raised[0] == raised[1]
+        assert raised[0][0] is error
+
     def test_integral_values_of_any_type_accepted(self):
         events = Events([np.float64(3.0), 2 ** 62 + 1, np.uint64(7), True],
                         [1.0, np.int8(2), np.uint32(3), 0],
@@ -399,6 +426,16 @@ class TestReadLabelCsv:
                 read_label_csv(path)
         path.write_bytes(b"9223372036854775807,1,0,10,5\n")
         assert list(read_label_csv(path)) == [Event(2 ** 63 - 1, 1, 10.0, 5.0)]
+
+    @pytest.mark.parametrize("blob", ['0,1,0,"10\n",5\n0,1,0,x,5\n',
+                                      "0,1,0,10,5\n\n0,1,0,x,5\n"])
+    def test_errors_name_the_line_the_row_is_on(self, tmp_path, blob):
+        # a quoted field that spans lines is one row, and a blank line is
+        # none, so the bad row is the second one but sits on line 3
+        path = tmp_path / "l.csv"
+        path.write_text(blob)
+        with pytest.raises(MalformedRow, match=r"l\.csv:3: "):
+            read_label_csv(path)
 
     def test_class_out_of_range(self, tmp_path):
         path = tmp_path / "labels.csv"

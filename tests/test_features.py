@@ -254,7 +254,7 @@ def hermitian(rng, eigenvalues):
 
 
 def kernel_layout(matrices):
-    """The (d, o) that features._principal_vectors takes for (..., 4, 4)
+    """The (d, o) that features._principal_directions takes for (..., 4, 4)
     Hermitian matrices: the diagonal, shape (4, ...), and the entries below
     it row by row, shape (6, ...)."""
     rows, cols = np.tril_indices(4, -1)
@@ -273,9 +273,15 @@ def from_kernel_layout(d, o):
     return matrices
 
 
-def principal_vectors(matrices, monkeypatch):
-    """features._principal_vectors of (n, 4, 4) Hermitian matrices, and how
-    many of them it handed to np.linalg.eigh."""
+def eigh_directions(matrices):
+    """features._direction of np.linalg.eigh's principal eigenvectors of
+    (..., 4, 4) Hermitian matrices, shape (3, ...)."""
+    return features._direction(np.moveaxis(np.linalg.eigh(matrices)[1][..., -1], -1, 0))
+
+
+def principal_directions(matrices, monkeypatch):
+    """features._principal_directions of (n, 4, 4) Hermitian matrices,
+    shape (3, n), and how many of them it handed to np.linalg.eigh."""
     eigh, handed = np.linalg.eigh, []
 
     def counting(a):
@@ -284,9 +290,9 @@ def principal_vectors(matrices, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", counting)
-        u = features._principal_vectors(*kernel_layout(matrices))
-    assert u.shape == (len(matrices), 4)
-    return u, sum(handed)
+        got = features._principal_directions(*kernel_layout(matrices))
+    assert got.shape == (3, len(matrices)) and got.dtype == np.float64
+    return got, sum(handed)
 
 
 def squaring_depths(matrices):
@@ -306,42 +312,31 @@ def squaring_depths(matrices):
     return depth
 
 
-def phase_aligned_distance(u, v):
-    """Per row, min over unit phases p of ||u - p v||."""
-    inner = np.einsum("na,na->n", v.conj(), u)
-    phase = np.where(inner == 0, 1.0, inner / np.maximum(np.abs(inner), 1e-300))
-    return np.linalg.norm(u - phase[:, None] * v, axis=1)
-
-
 @pytest.mark.filterwarnings("error")
 class TestPrincipalVectors:
     """The repeated-squaring kernel against np.linalg.eigh: a certified bin
-    must carry eigh's eigenvector, and whatever it cannot certify must go
-    to eigh."""
+    must carry the direction of eigh's principal eigenvector, and whatever
+    it cannot certify must go to eigh."""
 
-    def assert_matches_eigh(self, u, matrices, atol=1e-12):
-        v = np.linalg.eigh(matrices)[1][..., -1]
-        assert np.max(phase_aligned_distance(u, v)) <= atol
-        assert_allclose(features._direction(u), features._direction(v), rtol=0,
-                        atol=atol)
+    def assert_matches_eigh(self, got, matrices, atol=1e-12):
+        assert_allclose(got, eigh_directions(matrices), rtol=0, atol=atol)
 
     def test_rank_one(self, monkeypatch):
         rng = np.random.default_rng(30)
         v = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
         v *= 10.0 ** rng.uniform(-5, 5, (50, 1))
         matrices = np.einsum("na,nb->nab", v, v.conj())
-        u, handed = principal_vectors(matrices, monkeypatch)
+        got, handed = principal_directions(matrices, monkeypatch)
         assert handed == 0
-        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-        assert np.max(phase_aligned_distance(u, unit)) <= 1e-14
-        self.assert_matches_eigh(u, matrices)
+        assert_allclose(got, features._direction(v.T), rtol=0, atol=1e-14)
+        self.assert_matches_eigh(got, matrices)
 
     def test_zero_matrix_goes_to_eigh(self, monkeypatch):
         matrices = np.zeros((3, 4, 4), dtype=complex)
-        u, handed = principal_vectors(matrices, monkeypatch)
+        got, handed = principal_directions(matrices, monkeypatch)
         assert handed == 3
-        assert_array_equal(u, np.linalg.eigh(matrices)[1][..., -1])
-        assert_array_equal(features._direction(u), 0.0)
+        assert_array_equal(got, eigh_directions(matrices))
+        assert_array_equal(got, 0.0)
 
     def test_w_only_and_no_w(self, monkeypatch):
         # only W: the eigenvector is (1, 0, 0, 0) and carries no direction;
@@ -352,20 +347,19 @@ class TestPrincipalVectors:
         no_w = hermitian(rng, np.tile([2.0, 1.0, 0.5, 0.2], (4, 1)))
         no_w[:, 0, :] = no_w[:, :, 0] = 0.0
         for matrices in (w_only, no_w):
-            u, handed = principal_vectors(matrices, monkeypatch)
+            got, handed = principal_directions(matrices, monkeypatch)
             assert handed == 0
-            assert_array_equal(np.abs(u[:, 0]) < 1e-15, matrices is no_w)
-            assert_array_equal(features._direction(u), 0.0)
-            self.assert_matches_eigh(u, matrices)
+            assert_array_equal(got, 0.0)
+            self.assert_matches_eigh(got, matrices)
 
     def test_ties_at_the_top_go_to_eigh(self, monkeypatch):
         rng = np.random.default_rng(32)
         identity = np.eye(4) * np.array([1e-150, 1.0, 3.0, 1e80])[:, None, None]
         tied = hermitian(rng, np.tile([1.0, 1.0, 0.5, 0.1], (5, 1)))
         for matrices in (identity.astype(complex), tied):
-            u, handed = principal_vectors(matrices, monkeypatch)
+            got, handed = principal_directions(matrices, monkeypatch)
             assert handed == len(matrices)
-            assert_array_equal(u, np.linalg.eigh(matrices)[1][..., -1])
+            assert_array_equal(got, eigh_directions(matrices))
 
     def test_eigengap_sweep(self, monkeypatch):
         # every bin is certified and matches eigh, or goes to eigh; wide
@@ -374,8 +368,8 @@ class TestPrincipalVectors:
         for gap in np.geomspace(0.5, 1e-12, 25):
             top = 10.0 ** rng.uniform(-3, 3, 20)
             matrices = hermitian(rng, top[:, None] * [1.0, 1.0 - gap, 0.3, 0.01])
-            u, handed = principal_vectors(matrices, monkeypatch)
-            self.assert_matches_eigh(u, matrices)
+            got, handed = principal_directions(matrices, monkeypatch)
+            self.assert_matches_eigh(got, matrices)
             if gap >= 0.1:
                 assert handed == 0, gap
 
@@ -383,11 +377,11 @@ class TestPrincipalVectors:
     def test_extreme_scales(self, scale, monkeypatch):
         rng = np.random.default_rng(34)
         matrices = hermitian(rng, np.tile([1.0, 0.6, 0.2, 0.0], (20, 1)))
-        u, handed = principal_vectors(matrices * scale, monkeypatch)
+        got, handed = principal_directions(matrices * scale, monkeypatch)
         assert handed == 0
-        self.assert_matches_eigh(u, matrices * scale)
-        unscaled, _ = principal_vectors(matrices, monkeypatch)
-        assert np.max(phase_aligned_distance(u, unscaled)) <= 1e-14
+        self.assert_matches_eigh(got, matrices * scale)
+        unscaled, _ = principal_directions(matrices, monkeypatch)
+        assert_allclose(got, unscaled, rtol=0, atol=1e-14)
 
     def test_every_squaring_depth_in_one_block(self, monkeypatch):
         # bins leave the squaring at their own depth and the rest are
@@ -415,16 +409,17 @@ class TestPrincipalVectors:
             np.zeros((4, 4, 4), dtype=complex)])
         order = rng.permutation(len(certified) + len(fallback))
         matrices = np.concatenate([certified, fallback])[order]
-        u, handed = principal_vectors(matrices, monkeypatch)
+        got, handed = principal_directions(matrices, monkeypatch)
         assert handed == len(fallback)
         is_certified = order < len(certified)
-        self.assert_matches_eigh(u[is_certified], matrices[is_certified])
+        self.assert_matches_eigh(got[:, is_certified], matrices[is_certified])
+        assert_array_equal(got[:, ~is_certified], eigh_directions(matrices[~is_certified]))
         shuffle = rng.permutation(len(matrices))
-        shuffled, _ = principal_vectors(matrices[shuffle], monkeypatch)
-        assert_array_equal(shuffled.view(np.uint64), u[shuffle].view(np.uint64))
+        shuffled, _ = principal_directions(matrices[shuffle], monkeypatch)
+        assert_array_equal(shuffled.view(np.uint64), got[:, shuffle].view(np.uint64))
         for i in range(len(matrices)):
-            alone, _ = principal_vectors(matrices[i:i + 1], monkeypatch)
-            assert_array_equal(alone.view(np.uint64), u[i:i + 1].view(np.uint64))
+            alone, _ = principal_directions(matrices[i:i + 1], monkeypatch)
+            assert_array_equal(alone.view(np.uint64), got[:, i:i + 1].view(np.uint64))
 
     def test_working_memory_of_a_full_block(self, monkeypatch):
         # one block of a diffuse clip, 200 bins x 128 frames, whose bins
@@ -433,9 +428,9 @@ class TestPrincipalVectors:
         # on this block (numpy 2.4), so copies sized to the surviving bins
         # must not grow past it
         clip = helpers.make_noise_clip(n_samples=512 + 300 * 200, seed=40)
-        kernel, blocks = features._principal_vectors, []
+        kernel, blocks = features._principal_directions, []
         with monkeypatch.context() as patch:
-            patch.setattr(features, "_principal_vectors",
+            patch.setattr(features, "_principal_directions",
                           lambda d, o: blocks.append((d, o)) or kernel(d, o))
             salsa(clip)
         assert len(blocks) == 2
@@ -526,7 +521,7 @@ class TestSalsa:
 
         def eigh_only(d, o):
             calls.append(d.shape)
-            return np.linalg.eigh(from_kernel_layout(d, o))[1][..., -1]
+            return eigh_directions(from_kernel_layout(d, o))
 
         noise = helpers.make_noise_clip(n_samples=12000, seed=24).samples
         wave = helpers.make_plane_wave_clip(30.0, 10.0, n_samples=12000, seed=25).samples
@@ -542,7 +537,7 @@ class TestSalsa:
             got = salsa(clip)
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(features, "_principal_vectors", eigh_only)
+                patch.setattr(features, "_principal_directions", eigh_only)
                 assert_array_equal(got, salsa(clip))
             assert calls == [(4, 200, got.shape[2])]
 
