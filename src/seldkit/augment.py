@@ -357,6 +357,8 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     _check_time_alignment(feats, labs)
     if labs.shape[2] == 0:
         raise TooShort("no label frames to augment")
+    if config.mm_prob > 0 and sample_b is None:
+        raise SeldkitError("mm_prob > 0 requires a mixup partner sample")
 
     if config.mode == "all":
         warnings.warn(
@@ -398,8 +400,6 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
                 )
 
     if rng.random() < config.mm_prob:
-        if sample_b is None:
-            raise SeldkitError("mm_prob > 0 requires a mixup partner sample")
         lam = sample_lambda(rng, config.mm_beta_alpha)
         feats, labs = moderate_mixup(feats, labs, sample_b[0], sample_b[1], lam)
 

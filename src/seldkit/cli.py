@@ -136,6 +136,12 @@ def cmd_extract(args) -> int:
     if args.threads < 1:
         raise SeldkitError(f"--threads must be >= 1, got {args.threads}")
     out_dir = Path(args.out_dir)
+    out_paths = {e: out_dir / (Path(e.audio_path).stem + ".slsa")
+                 for e in manifest.entries}
+    for entry, out_path in out_paths.items():
+        if args.stats and out_path.resolve() == Path(args.stats).resolve():
+            raise SeldkitError(f"--stats {args.stats} is where the features of "
+                               f"{entry.audio_path} would be written")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def extract_one(entry):
@@ -164,9 +170,8 @@ def cmd_extract(args) -> int:
     for entry, tensor in results:
         if stats is not None:
             tensor = features.normalize(tensor, stats)
-        out_path = out_dir / (Path(entry.audio_path).stem + ".slsa")
-        write_feature_file(tensor, out_path)
-        print(f"wrote {out_path}")
+        write_feature_file(tensor, out_paths[entry])
+        print(f"wrote {out_paths[entry]}")
     return 1 if failures else 0
 
 
@@ -248,8 +253,7 @@ def cmd_gradcheck(args) -> int:
     _check_budget("--shape", c * f * t + 2 * (c * c + f * f) // r)
 
     all_pass = True
-    for name in se_block.GRADCHECK_BLOCKS:
-        fwd, bwd = se_block.gradcheck_ops(name)
+    for name, (fwd, bwd, _) in se_block.GRADCHECK_BLOCKS.items():
         worst = 0.0
         for seed in range(args.seeds):
             rng = augment.make_rng(seed)

@@ -285,7 +285,7 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
                 and el.min() >= -90 and el.max() < 90):
             az = normalize_azimuth(az.astype(np.float64))
             return Events(*_sorted_unique(frame, class_id, az, el))
-    return Events.of(_read_label_rows(path, n_classes))
+    return _read_label_rows(path, n_classes)
 
 
 def write_label_csv(events, path) -> None:
@@ -333,11 +333,9 @@ def _first_of_runs(*columns) -> np.ndarray:
     return first
 
 
-def _read_label_rows(path, n_classes: int) -> list:
-    """read_label_csv through the csv module, one row at a time, as a
-    sorted Event list."""
-    events = []
-    seen = set()
+def _read_label_rows(path, n_classes: int) -> Events:
+    """read_label_csv through the csv module, one row at a time."""
+    columns = ([], [], [], [])
     with _open_text_input(path) as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -363,12 +361,12 @@ def _read_label_rows(path, n_classes: int) -> list:
             except OverflowError as exc:
                 raise MalformedRow(
                     f"{path}:{lineno}: azimuth beyond the float range") from exc
-            event = Event(frame, class_id, az, float(el))
-            if event not in seen:
-                seen.add(event)
-                events.append(event)
-    events.sort()
-    return events
+            for column, value in zip(columns, (frame, class_id, az, float(el))):
+                column.append(value)
+    # built before sorting, so a class id int64 cannot hold raises here
+    events = Events(*columns)
+    return Events(*_sorted_unique(events.frame, events.class_id,
+                                  events.azimuth, events.elevation))
 
 
 def write_feature_file(tensor: np.ndarray, path) -> None:

@@ -88,12 +88,11 @@ def _stft_block(samples: np.ndarray, start: int, stop: int,
     return np.fft.rfft(frames * window, axis=2).transpose(0, 2, 1)
 
 
-def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS,
-                           floor: float = SPEC_FLOOR) -> np.ndarray:
-    """ln of floored power per bin of a stft array, keeping the lowest
-    n_bins bins."""
+def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS) -> np.ndarray:
+    """ln of power per bin of a stft array, floored at SPEC_FLOOR, keeping
+    the lowest n_bins bins."""
     bins = np.asarray(spec)[:, :n_bins, :]
-    return np.log(np.maximum(np.abs(bins) ** 2, floor))
+    return np.log(np.maximum(np.abs(bins) ** 2, SPEC_FLOOR))
 
 
 def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,

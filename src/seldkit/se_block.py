@@ -79,13 +79,13 @@ def zero_params(d: int, r: int) -> SeParams:
                     np.zeros((d, hidden)), np.zeros(d))
 
 
-def random_params(rng, d: int, r: int, scale: float = 0.5) -> SeParams:
+def random_params(rng, d: int, r: int) -> SeParams:
     hidden = _hidden_size(d, r)
     return SeParams(
-        scale * rng.standard_normal((hidden, d)),
-        scale * rng.standard_normal(hidden),
-        scale * rng.standard_normal((d, hidden)),
-        scale * rng.standard_normal(d),
+        0.5 * rng.standard_normal((hidden, d)),
+        0.5 * rng.standard_normal(hidden),
+        0.5 * rng.standard_normal((d, hidden)),
+        0.5 * rng.standard_normal(d),
     )
 
 
@@ -137,23 +137,27 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
 def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central differences.
 
-    forward(x, params) must return a tensor y; backward(x, params, grad_y)
-    must return (grad_x, param_grads) with param_grads shaped like params
-    (a tuple of arrays). The scalar probe loss is L = sum(y**2). Returns
-    the max over all input and parameter entries of
+    params is a sequence of SeParams, one per stage, called the way the SE
+    blocks are: forward(x, *params) must return a tensor y and
+    backward(x, *params, grad_y) must return (grad_x, *param_grads), one
+    SeParams of gradients per stage. The scalar probe loss is
+    L = sum(y**2). Copies of x and the parameter arrays are perturbed, x
+    first, then each stage's w1, b1, w2, b2 in turn. Returns the max over
+    all input and parameter entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     if not 0.0 < eps < 1e-3:
         raise SeldkitError(f"eps {eps} outside (0, 1e-3)")
     x = np.array(x, dtype=np.float64)
-    params = tuple(np.array(p, dtype=np.float64) for p in params)
+    params = [SeParams(*(a.copy() for a in p.as_arrays())) for p in params]
+    arrays = [x] + [a for p in params for a in p.as_arrays()]
 
-    y = forward(x, params)
-    grad_x, param_grads = backward(x, params, 2.0 * y)
-    analytic = [np.asarray(grad_x)] + [np.asarray(g) for g in param_grads]
+    y = forward(x, *params)
+    grad_x, *param_grads = backward(x, *params, 2.0 * y)
+    analytic = [np.asarray(grad_x)] + [a for g in param_grads for a in g.as_arrays()]
 
     worst = 0.0
-    for which, arr in enumerate([x, *params]):
+    for which, arr in enumerate(arrays):
         grads = analytic[which]
         if grads.shape != arr.shape:
             raise ShapeMismatch(
@@ -164,9 +168,9 @@ def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + eps
-            loss_hi = float((forward(x, params) ** 2).sum())
+            loss_hi = float((forward(x, *params) ** 2).sum())
             flat[i] = original - eps
-            loss_lo = float((forward(x, params) ** 2).sum())
+            loss_lo = float((forward(x, *params) ** 2).sum())
             flat[i] = original
             numeric = (loss_hi - loss_lo) / (2.0 * eps)
             a = float(grads.reshape(-1)[i])
@@ -177,38 +181,18 @@ def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
 
 # Blocks `seldkit gradcheck` verifies: forward(x, *params),
 # backward(x, *params, grad_y) and the variant each parameter set is for.
-_GRADCHECK = {
+GRADCHECK_BLOCKS = {
     "channel": (channel_se_forward, channel_se_backward, ("channel",)),
     "freq": (freq_se_forward, freq_se_backward, ("freq",)),
     "multi": (multi_dim_se_forward, multi_dim_se_backward, ("freq", "channel")),
 }
-GRADCHECK_BLOCKS = tuple(_GRADCHECK)
 
 
-def gradcheck_ops(block: str) -> tuple:
-    """(forward, backward) pair for gradcheck on one of GRADCHECK_BLOCKS;
-    params is each stage's (w1, b1, w2, b2) in turn, frequency first."""
-    forward, backward, _ = _GRADCHECK[block]
-
-    def split(params):
-        return [SeParams(*params[i:i + 4]) for i in range(0, len(params), 4)]
-
-    def fwd(x, params):
-        return forward(x, *split(params))
-
-    def bwd(x, params, grad_y):
-        grad_x, *grad_ps = backward(x, *split(params), grad_y)
-        return grad_x, tuple(a for g in grad_ps for a in g.as_arrays())
-
-    return fwd, bwd
-
-
-def gradcheck_params(rng, block: str, shape, r: int) -> tuple:
-    """Random flat params for gradcheck_ops(block) on a (C, F, T) shape."""
-    return tuple(
-        a for which in _GRADCHECK[block][2]
-        for a in random_params(rng, shape[_gated_axis(which)], r).as_arrays()
-    )
+def gradcheck_params(rng, block: str, shape, r: int) -> list:
+    """Random SeParams for each stage of GRADCHECK_BLOCKS[block] on a
+    (C, F, T) shape, frequency first."""
+    return [random_params(rng, shape[_gated_axis(which)], r)
+            for which in GRADCHECK_BLOCKS[block][2]]
 
 
 def _hidden_size(d: int, r: int) -> int:

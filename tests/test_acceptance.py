@@ -36,12 +36,12 @@ from seldkit import (
 )
 from seldkit.dataset_io import read_feature_file, write_label_csv
 from seldkit.se_block import (
+    GRADCHECK_BLOCKS,
     channel_se_forward,
     freq_se_forward,
     gradcheck,
-    gradcheck_ops,
+    gradcheck_params,
     multi_dim_se_forward,
-    random_params,
 )
 
 # measured mass of Beta(0.2, 0.2) on [0.4, 0.6] via the regularized
@@ -122,11 +122,6 @@ class TestAcceptance:
 
     def test_3_se_gradients(self, capsys):
         with criterion(capsys, 3, "gating gradients verified numerically", 60.0):
-            ops = {
-                "channel": gradcheck_ops("channel"),
-                "freq": gradcheck_ops("freq"),
-                "multi": gradcheck_ops("multi"),
-            }
             # reduction ratios restricted to divisors of the pooled axis
             grid = (
                 ("channel", (4, 6, 5), 2),
@@ -141,18 +136,12 @@ class TestAcceptance:
             # pre-activation at least 1.5e-4 from the rectifier kink, three
             # times the step, so no perturbation crosses it
             eps = 5e-5
-            for variant, (c, f, t), r in grid:
-                fwd, bwd = ops[variant]
+            for variant, shape, r in grid:
+                fwd, bwd, _ = GRADCHECK_BLOCKS[variant]
                 for seed in range(800, 820):
                     rng = make_rng(seed)
-                    x = rng.standard_normal((c, f, t))
-                    if variant == "channel":
-                        params = random_params(rng, c, r).as_arrays()
-                    elif variant == "freq":
-                        params = random_params(rng, f, r).as_arrays()
-                    else:
-                        params = (random_params(rng, f, r).as_arrays()
-                                  + random_params(rng, c, r).as_arrays())
+                    x = rng.standard_normal(shape)
+                    params = gradcheck_params(rng, variant, shape, r)
                     assert gradcheck(fwd, bwd, x, params, eps) < 1e-6
 
             x = np.random.default_rng(303).standard_normal((4, 6, 5))

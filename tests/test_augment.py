@@ -710,6 +710,20 @@ class TestAugmentPipeline:
             augment_pipeline((feats, labs), None, identity_config(mm_prob=1.0),
                              make_rng(0))
 
+    def test_missing_partner_raises_whatever_the_seed(self):
+        # checked before any draw, not only when the mixup coin lands
+        feats, labs = make_sample(31)
+        for seed in range(20):
+            with pytest.raises(SeldkitError, match="mixup partner"):
+                augment_pipeline((feats, labs), None, AugmentConfig(),
+                                 make_rng(seed))
+
+    def test_no_partner_needed_without_mixup(self):
+        feats, labs = make_sample(31)
+        for seed in range(20):
+            augment_pipeline((feats, labs), None, AugmentConfig(mm_prob=0.0),
+                             make_rng(seed))
+
     def test_mixup_label_is_one_of_the_inputs(self):
         feats, labs = make_sample(32)
         partner = make_sample(33)

@@ -286,6 +286,31 @@ class TestExtractCmd:
         assert f"{manifest}:3" in err and f"{manifest}:2" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_stats_path_of_a_clip_output_rejected(self, tmp_path, capsys,
+                                                  existing):
+        # the second clip's features would be written over the stats file;
+        # the path is spelt through ".." so only the resolved paths match
+        manifest, rows = self.make_scene(tmp_path)
+        out_dir = tmp_path / "feat"
+        stats = out_dir / ".." / "feat" / (Path(rows[1][0]).stem + ".slsa")
+        if existing:
+            out_dir.mkdir()
+            stats.write_bytes(b"stats bytes")
+        rc = cli.main(["extract", str(manifest), str(out_dir),
+                       "--stats", str(stats)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert rows[1][0] in err
+        if existing:
+            assert [p.name for p in out_dir.iterdir()] == [stats.name]
+            assert stats.read_bytes() == b"stats bytes"
+        else:
+            assert not out_dir.exists()
+
     def test_threads_do_not_change_output(self, tmp_path):
         # the command as a user runs it, with stats fitted on the way:
         # one worker and two must write the same features and stats
@@ -608,6 +633,20 @@ class TestAugmentCmd:
                            "--config", str(config), "--mode", "all"])
         assert rc == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", ["0", "17"])
+    def test_missing_partner_exits_one_whatever_the_seed(self, tmp_path, capsys,
+                                                         seed):
+        # the default config mixes with probability 0.5; the missing partner
+        # is an input error even on seeds whose mixup coin would not land
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=16)
+        f_out, l_out = tmp_path / "of.slsa", tmp_path / "ol.slsa"
+        rc = cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                       "--out-features", str(f_out), "--out-labels", str(l_out),
+                       "--seed", seed])
+        assert rc == 1
+        assert "mixup partner" in capsys.readouterr().err
+        assert not f_out.exists() and not l_out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=16)

@@ -28,9 +28,10 @@ from seldkit import (
 from seldkit import se_block
 from seldkit.errors import SeldkitError, ShapeMismatch
 from seldkit.se_block import (
+    GRADCHECK_BLOCKS,
     channel_se_backward,
     freq_se_backward,
-    gradcheck_ops,
+    gradcheck_params,
     multi_dim_se_backward,
     random_params,
 )
@@ -395,13 +396,12 @@ class TestGradcheck:
     def test_zero_params_pass(self):
         rng = rng_for(20)
         x = rng.standard_normal((4, 6, 5))
-        fwd, bwd = gradcheck_ops("channel")
-        assert gradcheck(fwd, bwd, x, zero_params(4, 2).as_arrays()) < 1e-6
-        fwd, bwd = gradcheck_ops("freq")
-        assert gradcheck(fwd, bwd, x, zero_params(6, 2).as_arrays()) < 1e-6
-        fwd, bwd = gradcheck_ops("multi")
-        params = zero_params(6, 2).as_arrays() + zero_params(4, 2).as_arrays()
-        assert gradcheck(fwd, bwd, x, params) < 1e-6
+        assert gradcheck(channel_se_forward, channel_se_backward, x,
+                         [zero_params(4, 2)]) < 1e-6
+        assert gradcheck(freq_se_forward, freq_se_backward, x,
+                         [zero_params(6, 2)]) < 1e-6
+        assert gradcheck(multi_dim_se_forward, multi_dim_se_backward, x,
+                         [zero_params(6, 2), zero_params(4, 2)]) < 1e-6
 
     def test_zero_params_kill_the_parameter_paths(self):
         # w2 = 0 disconnects w1/b1/w2 from the loss, so their analytic
@@ -428,8 +428,8 @@ class TestGradcheck:
             x = rng.standard_normal((4, 6, 5))
             for r in (2, 4):
                 p = random_params(rng, 4, r)
-                fwd, bwd = gradcheck_ops("channel")
-                assert gradcheck(fwd, bwd, x, p.as_arrays()) < 1e-6
+                assert gradcheck(channel_se_forward, channel_se_backward, x,
+                                 [p]) < 1e-6
 
     def test_random_params_freq(self):
         for seed in range(3):
@@ -437,17 +437,16 @@ class TestGradcheck:
             x = rng.standard_normal((3, 8, 4))
             for r in (2, 4):
                 p = random_params(rng, 8, r)
-                fwd, bwd = gradcheck_ops("freq")
-                assert gradcheck(fwd, bwd, x, p.as_arrays()) < 1e-6
+                assert gradcheck(freq_se_forward, freq_se_backward, x,
+                                 [p]) < 1e-6
 
     def test_random_params_multi(self):
         for seed in range(3):
             rng = rng_for(300 + seed)
             x = rng.standard_normal((4, 6, 5))
-            params = (random_params(rng, 6, 2).as_arrays()
-                      + random_params(rng, 4, 2).as_arrays())
-            fwd, bwd = gradcheck_ops("multi")
-            assert gradcheck(fwd, bwd, x, params) < 1e-6
+            params = [random_params(rng, 6, 2), random_params(rng, 4, 2)]
+            assert gradcheck(multi_dim_se_forward, multi_dim_se_backward, x,
+                             params) < 1e-6
 
     def test_twenty_seed_property(self):
         # the step stays below every hidden pre-activation of these draws
@@ -456,65 +455,58 @@ class TestGradcheck:
         eps = 5e-5
         shapes = {"channel": ((4, 6, 5), 4), "freq": ((3, 8, 4), 4),
                   "multi": ((4, 6, 5), 2)}
-        ops = {"channel": gradcheck_ops("channel"),
-               "freq": gradcheck_ops("freq"),
-               "multi": gradcheck_ops("multi")}
-        for name, ((c, f, t), r) in shapes.items():
-            fwd, bwd = ops[name]
+        for name, (shape, r) in shapes.items():
+            fwd, bwd, _ = GRADCHECK_BLOCKS[name]
             for seed in range(800, 820):
                 rng = make_rng(seed)
-                x = rng.standard_normal((c, f, t))
-                if name == "channel":
-                    params = random_params(rng, c, r).as_arrays()
-                elif name == "freq":
-                    params = random_params(rng, f, r).as_arrays()
-                else:
-                    params = (random_params(rng, f, r).as_arrays()
-                              + random_params(rng, c, r).as_arrays())
+                x = rng.standard_normal(shape)
+                params = gradcheck_params(rng, name, shape, r)
                 assert gradcheck(fwd, bwd, x, params, eps) < 1e-6
 
     def test_corrupted_backward_is_caught(self):
         rng = rng_for(21)
         x = rng.standard_normal((4, 6, 5))
         p = random_params(rng, 4, 2)
-        fwd, bwd = gradcheck_ops("channel")
 
-        def broken_bwd(x_in, params, grad_y):
-            grad_x, grad_p = bwd(x_in, params, grad_y)
+        def broken_bwd(x_in, p_in, grad_y):
+            grad_x, grad_p = channel_se_backward(x_in, p_in, grad_y)
             return grad_x + 1e-3, grad_p
 
-        assert gradcheck(fwd, broken_bwd, x, p.as_arrays()) > 1e-6
+        assert gradcheck(channel_se_forward, broken_bwd, x, [p]) > 1e-6
 
     def test_does_not_mutate_inputs(self):
         rng = rng_for(22)
         x = rng.standard_normal((4, 3, 2))
         x_copy = x.copy()
-        p = random_params(rng, 4, 2)
-        arrays = p.as_arrays()
-        copies = tuple(a.copy() for a in arrays)
-        fwd, bwd = gradcheck_ops("channel")
-        gradcheck(fwd, bwd, x, arrays)
+        params = [random_params(rng, 3, 1), random_params(rng, 4, 2)]
+        given = [x] + [a for p in params for a in p.as_arrays()]
+        copies = [a.copy() for a in given]
+        probed = []
+
+        def forward(x_in, *p_in):
+            probed.extend([x_in] + [a for p in p_in for a in p.as_arrays()])
+            return multi_dim_se_forward(x_in, *p_in)
+
+        gradcheck(forward, multi_dim_se_backward, x, params)
         assert_array_equal(x, x_copy)
-        for a, b in zip(arrays, copies):
+        for a, b in zip(given, copies):
             assert_array_equal(a, b)
+        # every perturbation lands in gradcheck's own copies
+        assert not any(np.shares_memory(a, b) for a in probed for b in given)
 
     def test_eps_validation(self):
-        fwd, bwd = gradcheck_ops("channel")
         x = np.zeros((2, 2, 2))
-        params = zero_params(2, 2).as_arrays()
+        params = [zero_params(2, 2)]
         with pytest.raises(SeldkitError):
-            gradcheck(fwd, bwd, x, params, eps=0.0)
+            gradcheck(channel_se_forward, channel_se_backward, x, params, eps=0.0)
         with pytest.raises(SeldkitError):
-            gradcheck(fwd, bwd, x, params, eps=1e-2)
+            gradcheck(channel_se_forward, channel_se_backward, x, params, eps=1e-2)
 
     def test_wrong_gradient_shape_rejected(self):
-        fwd, bwd = gradcheck_ops("channel")
-
-        def transposing_bwd(x_in, params, grad_y):
-            grad_x, grad_p = bwd(x_in, params, grad_y)
+        def transposing_bwd(x_in, p_in, grad_y):
+            grad_x, grad_p = channel_se_backward(x_in, p_in, grad_y)
             return grad_x.transpose(0, 2, 1), grad_p
 
         x = np.zeros((4, 3, 2))
         with pytest.raises(ShapeMismatch):
-            gradcheck(fwd, transposing_bwd, x, zero_params(4, 2).as_arrays())
-
+            gradcheck(channel_se_forward, transposing_bwd, x, [zero_params(4, 2)])
