@@ -75,3 +75,22 @@ from .se_block import (
 )
 
 __version__ = "0.1.0"
+
+
+def _settle_numpy_thread_state() -> None:
+    """Have numpy make the importing thread's thread-local block now.
+
+    numpy allocates it (about 46 KB of C heap) the first time it checks
+    whether an operand of 256 KiB or more is a temporary it may reuse.
+    Made inside a loop over large arrays, the block lands above the loop's
+    buffers in some processes and not in others; where it does, glibc
+    cannot trim the heap top, so those processes fault fewer pages per step
+    and run up to a third faster, and timings depend on the process. Made
+    at import, it sits below every later buffer in every process.
+    """
+    import numpy as np
+
+    np.zeros(1 << 15) + 0.0
+
+
+_settle_numpy_thread_state()

@@ -176,6 +176,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    _check_distinct_outputs(("--out-features", args.out_features),
+                            ("--out-labels", args.out_labels))
     feats, labs = _read_pair(args.features, args.labels)
 
     mapping = augment.parse_config_file(args.config) if args.config else {}
@@ -270,6 +272,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    if args.csv:
+        _check_distinct_outputs(("--out", args.out), ("--csv", args.csv))
     tensors = [read_feature_file(p) for p in args.tensors]
     avg = accdoa.ensemble_average(tensors).astype(np.float32)  # as --out holds it
     events = accdoa.decode(avg, args.threshold) if args.csv else None
@@ -296,6 +300,14 @@ def _check_budget(flags: str, elements: int) -> None:
             f"{flags}: {elements:,} array elements is over the budget of "
             f"{_FLAG_ELEMENT_BUDGET:,}"
         )
+
+
+def _check_distinct_outputs(first: tuple, second: tuple) -> None:
+    """Refuse two (flag, path) outputs that resolve to one file, where the
+    second write would silently replace the first."""
+    (flag_a, path_a), (flag_b, path_b) = first, second
+    if Path(path_a).resolve() == Path(path_b).resolve():
+        raise SeldkitError(f"{flag_a} {path_a} and {flag_b} {path_b} are the same file")
 
 
 def _read_pair(features_path, labels_path) -> tuple:

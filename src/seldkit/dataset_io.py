@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import (
     BadMagic,
@@ -133,6 +132,10 @@ def read_foa_wav(path) -> MultichannelClip:
     exception scipy raises while parsing is a MalformedWav.
     """
     _check_data_size(path)
+    # imported here, so only extract loads scipy.io (and scipy.sparse with it);
+    # outside the try, as a failed import is no fault of the file
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(os.fspath(path))
     except (OSError, MemoryError):
@@ -263,14 +266,15 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
     [-180, 180). Rows that become exact duplicates after that are dropped.
     Returns events sorted by (frame, class, azimuth, elevation).
 
-    A file of digits, commas, minus signs and newlines is parsed whole by
-    np.loadtxt, then checked column by column. Any other byte, any parse
-    failure and any row the checks reject send the file through the csv
-    reader, which alone decides what is accepted and words every error, so
-    both paths accept the same files and return the same events.
+    A file of digits, commas, minus signs and newlines (LF or CRLF) is
+    parsed whole by np.loadtxt, then checked column by column. Any other
+    byte, a lone CR included, any parse failure and any row the checks
+    reject send the file through the csv reader, which alone decides what
+    is accepted and words every error, so both paths accept the same files
+    and return the same events.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = fh.read().replace(b"\r\n", b"\n")
     rows = None
     # with no digit there is no row for loadtxt, which would only warn
     if not blob.translate(None, _LABEL_BYTES) and blob.strip(b",-\n"):

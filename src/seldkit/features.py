@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal.windows import hann
 
 from .dataset_io import MultichannelClip, read_feature_file, write_feature_file
 from .errors import EmptyManifest, SeldkitError, ShapeMismatch, TooShort
@@ -66,7 +65,7 @@ def stft(clip: MultichannelClip, window_len: int = STFT_WINDOW,
     at a time into the output, so no clip-sized frame array is built.
     """
     n_t = _n_frames(clip.samples, window_len, hop)
-    window = hann(window_len, sym=False)
+    window = _hann(window_len)
     spec = np.empty((len(clip.samples), window_len // 2 + 1, n_t), dtype=complex)
     for _, start, stop, _ in _blocks(n_t):
         spec[:, :, start:stop] = _stft_block(clip.samples, start, stop, window, hop)
@@ -78,6 +77,19 @@ def _n_frames(samples: np.ndarray, window_len: int, hop: int) -> int:
     if n < window_len:
         raise TooShort(f"clip has {n} samples, window needs {window_len}")
     return (n - window_len) // hop + 1
+
+
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length n, bit-identical to scipy's
+    hann(n, sym=False): its general_cosine sum over n + 1 points, minus the
+    last. numpy alone, so importing features loads no scipy.signal."""
+    if n <= 1:
+        return np.ones(n)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    w += 0.5 * np.cos(0 * fac)
+    w += 0.5 * np.cos(1 * fac)
+    return w[:n]
 
 
 def _stft_block(samples: np.ndarray, start: int, stop: int,
@@ -318,7 +330,7 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     length; the bytes equal the three public stages composed and cast.
     """
     n_t = _n_frames(clip.samples, STFT_WINDOW, STFT_HOP)
-    window = hann(STFT_WINDOW, sym=False)
+    window = _hann(STFT_WINDOW)
     halos = _smoothing(_SMOOTH)
     out = np.empty((7, N_FREQ_BINS, n_t), dtype=np.float32)
     for lo, start, stop, hi in _blocks(n_t, halos[1]):

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .accdoa import _EPS_NORM, _row_norms, _unit_vectors, decode
 from .dataset_io import Events, _first_of_runs, _sorted_unique
@@ -160,6 +159,9 @@ def _match_cells(pred, ref) -> tuple:
     picks = [at_low[np.searchsorted(at_low, first[solved][line])]]
     square = solved & (n_p > 1) & (n_r > 1)
     if square.any():
+        # imported here, so a run that never meets such a cell loads no scipy.optimize
+        from scipy.optimize import linear_sum_assignment
+
         starts, n_rows, n_cols = first[square], n_p[square], n_r[square]
         rows, cols = zip(*(
             linear_sum_assignment(cost[f:f + p * r].reshape(p, r))

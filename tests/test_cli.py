@@ -648,6 +648,33 @@ class TestAugmentCmd:
         assert "mixup partner" in capsys.readouterr().err
         assert not f_out.exists() and not l_out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_one_file_for_both_outputs_rejected(self, tmp_path, capsys, existing):
+        # --out-labels is spelt through ".." so only the resolved paths
+        # match; the check comes before any read, so with no input files
+        # it is still the error reported
+        f_in, l_in = (make_feature_label_pair(tmp_path, seed=16) if existing
+                      else (tmp_path / "none.slsa", tmp_path / "none_labels.slsa"))
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "o.slsa"
+        if existing:
+            out.write_bytes(b"old bytes")
+        rc = cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                       "--out-features", str(out),
+                       "--out-labels", str(tmp_path / "sub" / ".." / "o.slsa"),
+                       "--mm-prob", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert "--out-features" in err and "--out-labels" in err
+        assert "same file" in err
+        if existing:
+            assert out.read_bytes() == b"old bytes"
+        else:
+            assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=16)
         config = tmp_path / "bad.cfg"
@@ -879,6 +906,31 @@ class TestEnsembleCmd:
         capsys.readouterr()
         assert read_feature_file(avg)[0, 4, 7] == np.float32(0.5)
         assert csv_out.read_bytes() == decoded.read_bytes() == b""
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_one_file_for_out_and_csv_rejected(self, tmp_path, capsys, existing):
+        # --csv is spelt through ".." so only the resolved paths match; the
+        # check comes before any read, so with no input file it is still
+        # the error reported
+        t_in = tmp_path / "t.slsa"
+        if existing:
+            write_feature_file(accdoa.encode(nonempty_events(19), 20), t_in)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "e.out"
+        if existing:
+            out.write_bytes(b"old bytes")
+        rc = cli.main(["ensemble", str(t_in), "--out", str(out),
+                       "--csv", str(tmp_path / "sub" / ".." / "e.out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert "--out" in err and "--csv" in err and "same file" in err
+        if existing:
+            assert out.read_bytes() == b"old bytes"
+        else:
+            assert not out.exists()
 
     def test_mismatched_shapes(self, tmp_path, capsys):
         p1 = tmp_path / "t1.slsa"

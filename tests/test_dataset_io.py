@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -222,6 +223,16 @@ class TestReadFoaWav:
         path = tmp_path / "junk.wav"
         path.write_bytes(b"RIFFgarbage that is not really a wav file")
         with pytest.raises(MalformedWav):
+            read_foa_wav(path)
+
+    def test_failed_scipy_import_is_no_fault_of_the_file(self, tmp_path,
+                                                         monkeypatch):
+        # the reader imports scipy.io on its first call; an install without
+        # it is an internal error (exit 2), not a malformed WAV (exit 1)
+        path = tmp_path / "ok.wav"
+        wavfile.write(path, 24000, np.zeros((600, 4), dtype=np.int16))
+        monkeypatch.setitem(sys.modules, "scipy.io", None)
+        with pytest.raises(ImportError):
             read_foa_wav(path)
 
     @staticmethod

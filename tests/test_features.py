@@ -102,6 +102,13 @@ class TestStft:
             assert_array_equal(stft(clip, window_len, hop), want,
                                err_msg=f"block {block}")
 
+    def test_window_is_scipys_periodic_hann_bit_for_bit(self):
+        for n in range(1101):
+            want = hann(n, sym=False)
+            got = features._hann(n)
+            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert got.tobytes() == want.tobytes(), n
+
 
 class TestLogLinearSpectrogram:
     def test_matches_direct_formula(self):

@@ -2,9 +2,10 @@
 commands that read label CSVs report bad bytes as input errors.
 
 read_label_csv parses a file of digits, commas, minus signs and newlines
-with np.loadtxt and sends everything else through the csv module. Both
-must return the same events, or raise the same input error with the same
-message, whatever the file holds.
+(LF or CRLF) with np.loadtxt and sends everything else through the csv
+module. Both must return the same events, or raise the same input error
+with the same message, whatever the file holds; so must a file and its
+CRLF copy.
 """
 
 import contextlib
@@ -99,17 +100,46 @@ def test_fast_reader_matches_csv_reader(tmp_path_factory, blob):
         assert all(0 <= e.frame < 2 ** 63 for e in fast)
 
 
+@settings(max_examples=200, deadline=None)
+@given(BLOB)
+@example(b"0,1,0,190,5\r\n0,1,0,-170,5\r\n")
+@example(b"0,1,0,10\n2,1,0,10\n")
+def test_crlf_copy_reads_as_the_lf_copy(tmp_path_factory, blob):
+    """Equal events, or the same error class and message (line numbers
+    included), from a file and its copy with every line ending CRLF."""
+    path = tmp_path_factory.getbasetemp() / "labels.csv"
+    lf = blob.replace(b"\r", b"")
+    path.write_bytes(lf)
+    want = outcome(read_label_csv, path)
+    path.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert outcome(read_label_csv, path) == want
+
+
 def test_clean_file_takes_the_array_path(tmp_path, monkeypatch):
     def no_fallback(*args):
         raise AssertionError("fell back to the csv reader")
 
     monkeypatch.setattr(dataset_io, "_read_label_rows", no_fallback)
     path = tmp_path / "labels.csv"
-    path.write_bytes(b"\n5,2,0,190,0\n1,9,3,0,-90\n\n5,2,1,-170,0\n1,2,0,0,89")
+    lf = b"\n5,2,0,190,0\n1,9,3,0,-90\n\n5,2,1,-170,0\n1,2,0,0,89"
+    for blob in (lf, lf.replace(b"\n", b"\r\n")):
+        path.write_bytes(blob)
+        assert list(read_label_csv(path)) == [
+            Event(1, 2, 0.0, 89.0), Event(1, 9, 0.0, -90.0),
+            Event(5, 2, -170.0, 0.0),
+        ]
+
+
+def test_lone_carriage_return_takes_the_csv_path(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dataset_io, "_read_label_rows",
+                        lambda *args: calls.append(args) or _read_label_rows(*args))
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"5,2,0,190,0\r1,9,3,0,-90\r\n")
     assert list(read_label_csv(path)) == [
-        Event(1, 2, 0.0, 89.0), Event(1, 9, 0.0, -90.0),
-        Event(5, 2, -170.0, 0.0),
+        Event(1, 9, 0.0, -90.0), Event(5, 2, -170.0, 0.0),
     ]
+    assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None)
