@@ -58,19 +58,15 @@ from .features import (
 )
 from .metrics import (
     SeldScores,
-    angular_distance,
     compute_seld_scores,
-    match_cell,
     segment_events,
     threshold_sweep,
 )
 from .se_block import (
     SeParams,
-    channel_se_forward,
-    freq_se_forward,
     gradcheck,
+    multi_dim_se_backward,
     multi_dim_se_forward,
-    se_backward,
     zero_params,
 )
 

@@ -28,32 +28,17 @@ FEATURE_FRAMES_PER_LABEL_FRAME = 8
 _EPS_NORM = 1e-9
 
 
-def doa_to_unit_vector(azimuth: float, elevation: float) -> np.ndarray:
-    """Map a direction in degrees to a unit vector (x, y, z).
+def doa_to_unit_vector(doas) -> np.ndarray:
+    """Map (N, 2) (azimuth, elevation) pairs in degrees to an (N, 3) array
+    of unit vectors (x, y, z).
 
-    x points to azimuth 0, y to azimuth +90, z to elevation +90.
+    x points to azimuth 0, y to azimuth +90, z to elevation +90. An
+    elevation outside [-90, 90] raises ElevationOutOfRange naming the
+    first one.
     """
-    return _unit_vectors([(azimuth, elevation)])[0]
-
-
-def unit_vector_to_doa(vec) -> tuple:
-    """Recover (azimuth, elevation) in degrees from a Cartesian vector.
-
-    The vector is normalized first, so any positive length gives the same
-    direction. Azimuth lands in [-180, 180); at the poles, where azimuth is
-    geometrically meaningless, it is reported as 0.0.
-    """
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (3,):
-        raise ShapeMismatch(f"expected a (3,) vector, got shape {v.shape}")
-    azimuth, elevation = _directions(v[None])
-    return float(azimuth[0]), float(elevation[0])
-
-
-def _unit_vectors(doas) -> np.ndarray:
-    """Map N (azimuth, elevation) pairs in degrees to an (N, 3) array of
-    unit vectors, the array form of doa_to_unit_vector."""
-    doas = np.asarray(doas, dtype=np.float64).reshape(-1, 2)
+    doas = np.asarray(doas, dtype=np.float64)
+    if doas.ndim != 2 or doas.shape[1] != 2:
+        raise ShapeMismatch(f"expected (N, 2) directions, got shape {doas.shape}")
     inside = (doas[:, 1] >= -90.0) & (doas[:, 1] <= 90.0)
     if not inside.all():
         elevation = doas[~inside, 1][0]
@@ -73,9 +58,18 @@ def _row_norms(vecs) -> np.ndarray:
     return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
 
 
-def _directions(vecs) -> tuple:
+def unit_vector_to_doa(vecs) -> tuple:
     """(azimuth, elevation) arrays in degrees for the rows of an (N, 3)
-    array, the array form of unit_vector_to_doa."""
+    array of Cartesian vectors.
+
+    Each row is normalized first, so any positive length gives the same
+    direction; a row shorter than 1e-9 raises ZeroVector. Azimuth lands in
+    [-180, 180); at the poles, where azimuth is geometrically meaningless,
+    it is reported as 0.0.
+    """
+    vecs = np.asarray(vecs, dtype=np.float64)
+    if vecs.ndim != 2 or vecs.shape[1] != 3:
+        raise ShapeMismatch(f"expected (N, 3) vectors, got shape {vecs.shape}")
     norms = _row_norms(vecs)
     short = norms < _EPS_NORM
     if short.any():
@@ -106,8 +100,8 @@ def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
     bad = ((ev.frame < 0) | (ev.frame >= n_frames) | (ev.class_id < 0)
            | (ev.class_id >= n_classes) | repeat)
     end = int(np.argmax(bad)) if bad.any() else len(ev)
-    # _unit_vectors names an elevation outside [-90, 90] before the first bad row
-    vectors = _unit_vectors(np.stack([ev.azimuth, ev.elevation], axis=-1)[:end])
+    # an elevation outside [-90, 90] before the first bad row is named first
+    vectors = doa_to_unit_vector(np.stack([ev.azimuth, ev.elevation], axis=-1)[:end])
     if end < len(ev):
         f, c = int(ev.frame[end]), int(ev.class_id[end])
         if not 0 <= f < n_frames:
@@ -150,7 +144,7 @@ def decode(tensor, threshold: float = 0.5) -> Events:
             "non-finite norm"
         )
     frames, classes = np.nonzero(norms > threshold)
-    return Events(frames, classes, *_directions(arr[:, classes, frames].T))
+    return Events(frames, classes, *unit_vector_to_doa(arr[:, classes, frames].T))
 
 
 def ensemble_average(tensors) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
 from .accdoa import FEATURE_FRAMES_PER_LABEL_FRAME as FRAMES_PER_LABEL
 from .dataset_io import MultichannelClip, _open_text_input, normalize_azimuth
 
-MODES = ("fs_mm", "tm_mm", "all", "custom")
+MODES = ("fs_mm", "tm_mm", "all")
 
 _COS = (1, 0, -1, 0)
 _SIN = (0, 1, 0, -1)
@@ -74,10 +74,6 @@ class SwapPattern:
         """True when the map exchanges the x and y axes (antidiagonal M)."""
         return self.k % 2 == 1
 
-    @property
-    def z_sign(self) -> int:
-        return self.e
-
     def map_doa(self, azimuth: float, elevation: float) -> tuple:
         return (
             normalize_azimuth(self.s * azimuth + 90.0 * self.k),
@@ -119,7 +115,7 @@ def channel_swap(features, labels, pattern: SwapPattern) -> tuple:
 def _map_xyz(pattern: SwapPattern, x, y, z) -> tuple:
     """(x', y', z') of Cartesian components under the pattern's signed map."""
     (m_xx, m_xy), (m_yx, m_yy) = pattern.xy_matrix
-    return m_xx * x + m_xy * y, m_yx * x + m_yy * y, pattern.z_sign * z
+    return m_xx * x + m_xy * y, m_yx * x + m_yy * y, pattern.e * z
 
 
 def apply_pattern_to_waveform(clip: MultichannelClip,
@@ -131,7 +127,7 @@ def apply_pattern_to_waveform(clip: MultichannelClip,
     """
     w, y, z, x = clip.samples
     x, y, z = _map_xyz(pattern, x, y, z)
-    return MultichannelClip(np.stack([w, y, z, x]), clip.sample_rate)
+    return MultichannelClip(np.stack([w, y, z, x]))
 
 
 def pitch_shift(features, shift_bins: int, max_shift: int = 10) -> np.ndarray:
@@ -219,10 +215,7 @@ def moderate_mixup(feat_a, lab_a, feat_b, lab_b, lam: float) -> tuple:
     """
     fa, fb = np.asarray(feat_a), np.asarray(feat_b)
     la, lb = np.asarray(lab_a), np.asarray(lab_b)
-    if fa.shape != fb.shape:
-        raise ShapeMismatch(f"feature shapes differ: {fa.shape} vs {fb.shape}")
-    if la.shape != lb.shape:
-        raise ShapeMismatch(f"label shapes differ: {la.shape} vs {lb.shape}")
+    _check_same_shapes(fa, la, fb, lb)
     if not 0.0 <= lam <= 1.0:
         raise SeldkitError(f"lambda {lam} outside [0, 1]")
     if lam == 1.0:
@@ -233,6 +226,12 @@ def moderate_mixup(feat_a, lab_a, feat_b, lab_b, lam: float) -> tuple:
         mixed = lam * fa + (1.0 - lam) * fb
     label = la if lam >= 0.5 else lb
     return mixed, label.copy()
+
+
+def _check_same_shapes(feat_a, lab_a, feat_b, lab_b) -> None:
+    for kind, a, b in (("feature", feat_a, feat_b), ("label", lab_a, lab_b)):
+        if np.shape(a) != np.shape(b):
+            raise ShapeMismatch(f"{kind} shapes differ: {np.shape(a)} vs {np.shape(b)}")
 
 
 def sample_lambda(rng, alpha: float = 0.2) -> float:
@@ -259,8 +258,8 @@ class AugmentConfig:
     """Knobs for augment_pipeline.
 
     mode picks which time-axis augmentation runs: "fs_mm" (frame shift,
-    the default), "tm_mm" (time masking), "all" (both, discouraged), or
-    "custom" (both, no warning).
+    the default), "tm_mm" (time masking) or "all" (both, discouraged: it
+    warns).
     """
 
     cs_prob: float = 0.5
@@ -349,7 +348,9 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     (always, uniform in [-ps_range, ps_range]) -> frame shift and/or time
     mask per config.mode -> Moderate Mixup with sample_b (prob mm_prob).
     The draw order is fixed, so a given (config, seed) always produces the
-    same output. sample_b may be None only when mm_prob is 0.
+    same output. sample_b may be None only when mm_prob is 0; when mm_prob
+    is above 0 its feature and label shapes must equal sample_a's, whatever
+    the draws.
     """
     feats, labs = sample_a
     feats = np.array(feats)
@@ -357,8 +358,10 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     _check_time_alignment(feats, labs)
     if labs.shape[2] == 0:
         raise TooShort("no label frames to augment")
-    if config.mm_prob > 0 and sample_b is None:
-        raise SeldkitError("mm_prob > 0 requires a mixup partner sample")
+    if config.mm_prob > 0:
+        if sample_b is None:
+            raise SeldkitError("mm_prob > 0 requires a mixup partner sample")
+        _check_same_shapes(feats, labs, *sample_b)
 
     if config.mode == "all":
         warnings.warn(
@@ -376,11 +379,11 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     feats = pitch_shift(feats, shift, config.ps_range)
 
     n_label_frames = labs.shape[2]
-    if config.mode in ("fs_mm", "all", "custom"):
+    if config.mode in ("fs_mm", "all"):
         if rng.random() < config.fs_prob:
             offset = FRAMES_PER_LABEL * int(rng.integers(0, n_label_frames))
             feats, labs = frame_shift(feats, labs, offset)
-    if config.mode in ("tm_mm", "all", "custom"):
+    if config.mode in ("tm_mm", "all"):
         if rng.random() < config.tm_prob:
             n_frames = feats.shape[2]
             lo = math.ceil(config.tm_ratio_min * n_frames / FRAMES_PER_LABEL

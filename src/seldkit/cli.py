@@ -142,6 +142,13 @@ def cmd_extract(args) -> int:
         if args.stats and out_path.resolve() == Path(args.stats).resolve():
             raise SeldkitError(f"--stats {args.stats} is where the features of "
                                f"{entry.audio_path} would be written")
+    stats = None
+    if args.stats and Path(args.stats).exists():  # checked before any clip is read
+        stats = features.load_norm_stats(args.stats)
+        if stats.mean.shape != (7, features.N_FREQ_BINS):
+            raise ShapeMismatch(
+                f"--stats {args.stats} holds stats for (C, F) {stats.mean.shape}, "
+                f"not the (7, {features.N_FREQ_BINS}) of extracted features")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def extract_one(entry):
@@ -159,13 +166,11 @@ def cmd_extract(args) -> int:
     for exc in failures:  # before fitting, which fails if every clip did
         print(f"error: {exc}", file=sys.stderr)
 
-    stats = None
-    if args.stats:
-        if not Path(args.stats).exists():
-            stats = features.compute_norm_stats(t for _, t in results)
-            features.save_norm_stats(stats, args.stats)
-            print(f"fitted stats over {len(results)} clips -> {args.stats}")
-        stats = features.load_norm_stats(args.stats)  # as stored, fitted or not
+    if args.stats and stats is None:
+        stats = features.compute_norm_stats(t for _, t in results)
+        features.save_norm_stats(stats, args.stats)
+        print(f"fitted stats over {len(results)} clips -> {args.stats}")
+        stats = features.load_norm_stats(args.stats)  # as stored, like a loaded file
 
     for entry, tensor in results:
         if stats is not None:
@@ -176,8 +181,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    _check_distinct_outputs(("--out-features", args.out_features),
-                            ("--out-labels", args.out_labels))
+    _check_outputs([("--features", args.features), ("--labels", args.labels),
+                    ("--partner-features", args.partner_features),
+                    ("--partner-labels", args.partner_labels), ("--config", args.config)],
+                   [("--out-features", args.out_features), ("--out-labels", args.out_labels)])
     feats, labs = _read_pair(args.features, args.labels)
 
     mapping = augment.parse_config_file(args.config) if args.config else {}
@@ -204,6 +211,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _check_outputs([("labels", args.labels)], [("--out", args.out)])
     # negative counts are left to accdoa.encode's own message
     _check_budget("--frames and --classes",
                   3 * max(args.classes, 0) * max(args.frames, 0))
@@ -215,6 +223,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _check_outputs([("tensor", args.tensor)], [("--out", args.out)])
     events = accdoa.decode(read_feature_file(args.tensor), args.threshold)
     write_label_csv(events, args.out)
     print(f"wrote {args.out} ({len(events)} events at threshold {args.threshold})")
@@ -222,6 +231,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_outputs([("pred", args.pred), ("ref", args.ref)], [("--report", args.report)])
     refs = read_label_csv(args.ref)
     if args.sweep:
         rows = metrics.threshold_sweep(read_feature_file(args.pred), refs,
@@ -272,8 +282,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if args.csv:
-        _check_distinct_outputs(("--out", args.out), ("--csv", args.csv))
+    _check_outputs([("tensor", p) for p in args.tensors],
+                   [("--out", args.out), ("--csv", args.csv)])
     tensors = [read_feature_file(p) for p in args.tensors]
     avg = accdoa.ensemble_average(tensors).astype(np.float32)  # as --out holds it
     events = accdoa.decode(avg, args.threshold) if args.csv else None
@@ -286,6 +296,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_outputs([("features", p) for p in args.features], [("--out", args.out)])
     stats = features.compute_norm_stats(
         read_feature_file(p) for p in args.features
     )
@@ -302,12 +313,20 @@ def _check_budget(flags: str, elements: int) -> None:
         )
 
 
-def _check_distinct_outputs(first: tuple, second: tuple) -> None:
-    """Refuse two (flag, path) outputs that resolve to one file, where the
-    second write would silently replace the first."""
-    (flag_a, path_a), (flag_b, path_b) = first, second
-    if Path(path_a).resolve() == Path(path_b).resolve():
-        raise SeldkitError(f"{flag_a} {path_a} and {flag_b} {path_b} are the same file")
+def _check_outputs(inputs, outputs) -> None:
+    """Refuse an output that resolves to an input or to another output,
+    whose write would silently replace that file. inputs and outputs are
+    (flag, path) pairs; a path of None was not given."""
+    taken = [(flag, path, Path(path).resolve()) for flag, path in inputs if path]
+    for flag, path in outputs:
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        for other_flag, other_path, other in taken:
+            if other == resolved:
+                raise SeldkitError(
+                    f"{other_flag} {other_path} and {flag} {path} are the same file")
+        taken.append((flag, path, resolved))
 
 
 def _read_pair(features_path, labels_path) -> tuple:

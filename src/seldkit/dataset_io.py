@@ -54,14 +54,14 @@ def normalize_azimuth(az: float) -> float:
 
 @dataclass(frozen=True)
 class MultichannelClip:
-    """A 4-channel FOA waveform, channels in ACN order (W, Y, Z, X).
+    """A 4-channel FOA waveform at SAMPLE_RATE, channels in ACN order
+    (W, Y, Z, X).
 
     samples is (4, n_samples) float64 in [-1, 1]; the array is locked
     read-only so clips can be shared freely between threads.
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self._own(np.array(self.samples, dtype=np.float64))
@@ -71,7 +71,6 @@ class MultichannelClip:
         """A clip made from a float64 array no one else holds, without the
         copy the constructor makes."""
         clip = cls.__new__(cls)
-        object.__setattr__(clip, "sample_rate", SAMPLE_RATE)
         clip._own(samples)
         return clip
 
@@ -87,16 +86,8 @@ class MultichannelClip:
             )
         if not np.all(np.isfinite(samples)):
             raise SeldkitError("clip contains non-finite samples")
-        if self.sample_rate != SAMPLE_RATE:
-            raise WrongSampleRate(
-                f"expected {SAMPLE_RATE} Hz, got {self.sample_rate}"
-            )
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
 
 
 @dataclass(frozen=True, order=True)

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accdoa import _EPS_NORM, _row_norms, _unit_vectors, decode
+from .accdoa import _row_norms, decode, doa_to_unit_vector
 from .dataset_io import Events, _first_of_runs, _sorted_unique
-from .errors import SeldkitError, ZeroVector
+from .errors import SeldkitError
 
 SEGMENT_LABEL_FRAMES = 10
 SPATIAL_THRESHOLD_DEG = 20.0
@@ -68,16 +68,6 @@ class SeldScores:
     per_class: dict = field(default_factory=dict)
 
 
-def angular_distance(v1, v2) -> float:
-    """Great-circle angle between two direction vectors, in degrees."""
-    a = np.asarray(v1, dtype=np.float64)[None]
-    b = np.asarray(v2, dtype=np.float64)[None]
-    na, nb = _row_norms(a), _row_norms(b)
-    if (na < _EPS_NORM).any() or (nb < _EPS_NORM).any():
-        raise ZeroVector("cannot measure an angle to a zero vector")
-    return float(_angles(a, na, b, nb)[0])
-
-
 def _angles(a, na, b, nb) -> np.ndarray:
     """Great-circle angles in degrees between matching rows of a and b,
     given their norms.
@@ -90,42 +80,24 @@ def _angles(a, na, b, nb) -> np.ndarray:
     return np.rad2deg(np.arccos(np.clip(dots / (na * nb), -1.0, 1.0)))
 
 
-def segment_events(events, segment_len: int = SEGMENT_LABEL_FRAMES) -> dict:
+def segment_events(events) -> dict:
     """Group events into (segment, class) cells of deduplicated DoAs.
 
     Returns {(segment, class_id): sorted unique (azimuth, elevation)}; a
     source holding one direction across a whole segment contributes a
     single DoA to its cell.
     """
-    segment, class_id, az, el = _segment_columns(Events.of(events), segment_len)
+    segment, class_id, az, el = _segment_columns(Events.of(events))
     cells = {}
     for cell_doa in zip(segment.tolist(), class_id.tolist(), az.tolist(), el.tolist()):
         cells.setdefault(cell_doa[:2], []).append(cell_doa[2:])
     return cells
 
 
-def match_cell(pred_doas, ref_doas) -> tuple:
-    """Minimum-total-angle assignment between two DoA lists.
-
-    Returns (pairs, n_unmatched_pred, n_unmatched_ref) where pairs is a
-    list of (pred_index, ref_index, angle_degrees); min(P, R) pairs are
-    always formed, however far apart they are.
-    """
-    if not pred_doas or not ref_doas:
-        return [], len(pred_doas), len(ref_doas)
-    pred, ref = _unit_vectors(pred_doas), _unit_vectors(ref_doas)
-    _, i, j, angle = _match_cells((pred, _row_norms(pred), np.array([len(pred)])),
-                                  (ref, _row_norms(ref), np.array([len(ref)])))
-    pairs = list(zip(i.tolist(), j.tolist(), angle.tolist()))
-    return pairs, len(pred) - len(pairs), len(ref) - len(pairs)
-
-
-def _segment_columns(events: Events, segment_len: int) -> tuple:
+def _segment_columns(events: Events) -> tuple:
     """(segment, class_id, azimuth, elevation) of the distinct DoAs of each
     (segment, class) cell, sorted by segment, class, azimuth, elevation."""
-    if not segment_len >= 1:
-        raise SeldkitError(f"segment_len must be at least 1, got {segment_len}")
-    return _sorted_unique(events.frame // segment_len, events.class_id,
+    return _sorted_unique(events.frame // SEGMENT_LABEL_FRAMES, events.class_id,
                           events.azimuth, events.elevation)
 
 
@@ -174,10 +146,7 @@ def _match_cells(pred, ref) -> tuple:
     return entry_cell[pos], i[pos], j[pos], cost[pos]
 
 
-def compute_seld_scores(preds, refs,
-                        spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
-                        segment_len: int = SEGMENT_LABEL_FRAMES,
-                        average: str = "macro") -> SeldScores:
+def compute_seld_scores(preds, refs, average: str = "macro") -> SeldScores:
     """Score predicted events against references, each an Events or an
     iterable of Event.
 
@@ -185,41 +154,36 @@ def compute_seld_scores(preds, refs,
     er_undefined set. When both sides are empty every score is perfect by
     convention (0, 100, 0, 100).
     """
-    scorer = _reference_scorer(Events.of(refs), spatial_threshold,
-                               segment_len, average)
-    return scorer(Events.of(preds))
+    return _reference_scorer(Events.of(refs), average)(Events.of(preds))
 
 
-def threshold_sweep(accdoa_pred, refs, thresholds=_SWEEP_THRESHOLDS,
-                    **score_kwargs) -> list:
-    """Decode a prediction tensor at each threshold and score it.
+def threshold_sweep(accdoa_pred, refs, average: str = "macro") -> list:
+    """Decode a prediction tensor at each of the thresholds 0.3, 0.5 and
+    0.7 and score it.
 
     The references are segmented and converted to unit vectors once for
-    all thresholds. Returns [(threshold, SeldScores)] in the given
-    threshold order.
+    all thresholds. Returns [(threshold, SeldScores)] in that order.
     """
-    score = _reference_scorer(Events.of(refs), **score_kwargs)
-    return [(thr, score(decode(accdoa_pred, thr))) for thr in thresholds]
+    score = _reference_scorer(Events.of(refs), average)
+    return [(thr, score(decode(accdoa_pred, thr))) for thr in _SWEEP_THRESHOLDS]
 
 
-def _reference_scorer(refs, spatial_threshold: float = SPATIAL_THRESHOLD_DEG,
-                      segment_len: int = SEGMENT_LABEL_FRAMES,
-                      average: str = "macro"):
+def _reference_scorer(refs, average: str):
     """Segment and convert the reference Events once; return a function
     from prediction Events to SeldScores."""
     if average not in ("macro", "micro"):
         raise SeldkitError(f"average must be 'macro' or 'micro', got {average!r}")
-    ref_segment, ref_class, ref_vecs = _cell_vectors(refs, segment_len)
+    ref_segment, ref_class, ref_vecs = _cell_vectors(refs)
     ref_norms = _row_norms(ref_vecs)
 
     def score(preds) -> SeldScores:
-        pred_segment, pred_class, pred_vecs = _cell_vectors(preds, segment_len)
+        pred_segment, pred_class, pred_vecs = _cell_vectors(preds)
         cell_segment, cell_class, n_p, n_r = _cells_of_both(
             (pred_segment, pred_class), (ref_segment, ref_class))
         pair_cell, _, _, angle = _match_cells(
             (pred_vecs, _row_norms(pred_vecs), n_p), (ref_vecs, ref_norms, n_r))
 
-        tp = np.bincount(pair_cell[angle < spatial_threshold],
+        tp = np.bincount(pair_cell[angle < SPATIAL_THRESHOLD_DEG],
                          minlength=len(cell_segment))
         fp, fn = n_p - tp, n_r - tp
         # per segment, S = min(fp, fn) substitutions, fn - S deletions and
@@ -276,15 +240,15 @@ def _cells_of_both(pred, ref) -> tuple:
             np.bincount(cell_of[n_pred:], minlength=n_cells))
 
 
-def _cell_vectors(events: Events, segment_len: int) -> tuple:
+def _cell_vectors(events: Events) -> tuple:
     """(segment, class_id, unit vectors) of each cell's distinct DoAs, as
     sorted by _segment_columns.
 
     All DoAs of the call are converted at once, so an elevation outside
     [-90, 90] anywhere among the events is rejected.
     """
-    segment, class_id, az, el = _segment_columns(events, segment_len)
-    return segment, class_id, _unit_vectors(np.stack((az, el), axis=-1))
+    segment, class_id, az, el = _segment_columns(events)
+    return segment, class_id, doa_to_unit_vector(np.stack((az, el), axis=-1))
 
 
 def format_scores_line(scores: SeldScores) -> str:

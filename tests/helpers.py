@@ -14,7 +14,7 @@ def make_plane_wave_clip(azimuth, elevation, n_samples=24000, seed=0,
                          amplitude=0.3):
     """A noise burst arriving from one direction, in ACN order (W, Y, Z, X)."""
     rng = np.random.default_rng(seed)
-    x, y, z = doa_to_unit_vector(azimuth, elevation)
+    x, y, z = doa_to_unit_vector([(azimuth, elevation)])[0]
     w = amplitude * rng.standard_normal(n_samples)
     return MultichannelClip(np.stack([w, y * w, z * w, x * w]))
 

@@ -309,7 +309,7 @@ def loop_encode(events, n_frames, n_classes=13):
                 f"two events for class {ev.class_id} in frame {ev.frame}"
             )
         occupied.add(cell)
-        tensor[:, ev.class_id, ev.frame] = doa_to_unit_vector(ev.azimuth, ev.elevation)
+        tensor[:, ev.class_id, ev.frame] = doa_to_unit_vector([(ev.azimuth, ev.elevation)])[0]
     return tensor
 
 

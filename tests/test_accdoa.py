@@ -28,79 +28,79 @@ from seldkit.errors import (
 
 class TestDoaToUnitVector:
     def test_axis_directions(self):
-        assert_allclose(doa_to_unit_vector(0, 0), [1, 0, 0], atol=1e-15)
-        assert_allclose(doa_to_unit_vector(90, 0), [0, 1, 0], atol=1e-15)
-        assert_allclose(doa_to_unit_vector(180, 0), [-1, 0, 0], atol=1e-15)
-        assert_allclose(doa_to_unit_vector(-90, 0), [0, -1, 0], atol=1e-15)
-        assert_allclose(doa_to_unit_vector(0, 90), [0, 0, 1], atol=1e-15)
-        assert_allclose(doa_to_unit_vector(0, -90), [0, 0, -1], atol=1e-15)
+        doas = [(0, 0), (90, 0), (180, 0), (-90, 0), (0, 90), (0, -90)]
+        want = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        assert_allclose(doa_to_unit_vector(doas), want, atol=1e-15)
 
     def test_oblique_direction(self):
-        vec = doa_to_unit_vector(45.0, 30.0)
-        expected = [
+        vec = doa_to_unit_vector([(45.0, 30.0)])
+        expected = [[
             np.cos(np.pi / 4) * np.cos(np.pi / 6),
             np.sin(np.pi / 4) * np.cos(np.pi / 6),
             np.sin(np.pi / 6),
-        ]
+        ]]
         assert_allclose(vec, expected, rtol=1e-15)
 
     def test_always_unit_norm(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            az = float(rng.uniform(-180, 180))
-            el = float(rng.uniform(-90, 90))
-            assert abs(np.linalg.norm(doa_to_unit_vector(az, el)) - 1.0) < 1e-12
+        doas = np.stack([rng.uniform(-180, 180, 100), rng.uniform(-90, 90, 100)], axis=-1)
+        vecs = doa_to_unit_vector(doas)
+        assert vecs.shape == (100, 3)
+        assert np.all(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) < 1e-12)
 
     def test_elevation_out_of_range(self):
-        with pytest.raises(ElevationOutOfRange):
-            doa_to_unit_vector(0.0, 90.5)
-        with pytest.raises(ElevationOutOfRange):
-            doa_to_unit_vector(0.0, -91.0)
+        with pytest.raises(ElevationOutOfRange, match="elevation 90.5 outside"):
+            doa_to_unit_vector([(0.0, 0.0), (0.0, 90.5), (0.0, -91.0)])
+        with pytest.raises(ElevationOutOfRange, match="elevation -91.0 outside"):
+            doa_to_unit_vector([(0.0, -91.0)])
+
+    def test_bad_shape(self):
+        for doas in ([0.0, 0.0], [(0.0, 0.0, 0.0)], np.zeros((2, 2, 2))):
+            with pytest.raises(ShapeMismatch):
+                doa_to_unit_vector(doas)
+        assert doa_to_unit_vector(np.empty((0, 2))).shape == (0, 3)
 
 
 class TestUnitVectorToDoa:
     def test_axis_directions(self):
-        assert unit_vector_to_doa([1, 0, 0]) == (0.0, 0.0)
-        az, el = unit_vector_to_doa([0, 1, 0])
-        assert (round(az, 9), round(el, 9)) == (90.0, 0.0)
-        az, el = unit_vector_to_doa([-1, 0, 0])
-        assert (az, round(el, 9)) == (-180.0, 0.0)
+        az, el = unit_vector_to_doa([[1, 0, 0], [0, 1, 0], [-1, 0, 0]])
+        assert (az[0], el[0]) == (0.0, 0.0)
+        assert_allclose(az[1:], [90.0, -180.0], atol=1e-9)
+        assert az[2] == -180.0
+        assert_allclose(el[1:], 0.0, atol=1e-9)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            vec = rng.standard_normal(3)
-            if np.linalg.norm(vec) < 1e-3:
-                continue
-            a = unit_vector_to_doa(vec)
-            b = unit_vector_to_doa(7.5 * vec)
-            assert_allclose(a, b, atol=1e-12)
+        vecs = rng.standard_normal((50, 3))
+        vecs = vecs[np.linalg.norm(vecs, axis=1) >= 1e-3]
+        assert_allclose(unit_vector_to_doa(vecs), unit_vector_to_doa(7.5 * vecs),
+                        atol=1e-12)
 
     def test_poles_report_zero_azimuth(self):
-        assert unit_vector_to_doa([0, 0, 1]) == (0.0, 90.0)
-        assert unit_vector_to_doa([0, 0, -1]) == (0.0, -90.0)
-        assert unit_vector_to_doa([0, 0, 0.2]) == (0.0, 90.0)
+        az, el = unit_vector_to_doa([[0, 0, 1], [0, 0, -1], [0, 0, 0.2]])
+        assert az.tolist() == [0.0, 0.0, 0.0]
+        assert el.tolist() == [90.0, -90.0, 90.0]
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
-        for _ in range(300):
-            az = float(rng.uniform(-180.0, 180.0))
-            el = float(rng.uniform(-89.5, 89.5))
-            got_az, got_el = unit_vector_to_doa(doa_to_unit_vector(az, el))
-            az_err = abs(got_az - az)
-            az_err = min(az_err, 360.0 - az_err)
-            assert az_err < 1e-9
-            assert abs(got_el - el) < 1e-9
+        az = rng.uniform(-180.0, 180.0, 300)
+        el = rng.uniform(-89.5, 89.5, 300)
+        got_az, got_el = unit_vector_to_doa(doa_to_unit_vector(np.stack([az, el], axis=-1)))
+        az_err = np.abs(got_az - az)
+        az_err = np.minimum(az_err, 360.0 - az_err)
+        assert np.all(az_err < 1e-9)
+        assert np.all(np.abs(got_el - el) < 1e-9)
 
     def test_azimuth_wraps_to_half_open_range(self):
-        az, _ = unit_vector_to_doa(doa_to_unit_vector(-180.0, 10.0))
-        assert az == -180.0
+        az, _ = unit_vector_to_doa(doa_to_unit_vector([(-180.0, 10.0)]))
+        assert az[0] == -180.0
 
     def test_bad_inputs(self):
-        with pytest.raises(ShapeMismatch):
-            unit_vector_to_doa([1.0, 0.0])
-        with pytest.raises(ZeroVector):
-            unit_vector_to_doa([0.0, 1e-12, 0.0])
+        for vecs in ([1.0, 0.0, 0.0], [[1.0, 0.0]], np.zeros((2, 3, 1))):
+            with pytest.raises(ShapeMismatch):
+                unit_vector_to_doa(vecs)
+        with pytest.raises(ZeroVector, match="norm 1e-12 "):
+            unit_vector_to_doa([[1.0, 0.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestEncode:
@@ -112,7 +112,7 @@ class TestEncode:
 
     def test_single_event_vector(self):
         tensor = encode([Event(4, 7, 45.0, 30.0)], 10)
-        assert_allclose(tensor[:, 7, 4], doa_to_unit_vector(45.0, 30.0), rtol=1e-15)
+        assert_allclose(tensor[:, 7, 4], doa_to_unit_vector([(45.0, 30.0)])[0], rtol=1e-15)
         tensor[:, 7, 4] = 0.0
         assert_array_equal(tensor, 0.0)
 
@@ -148,8 +148,8 @@ class TestEncode:
 class TestDecode:
     def test_strict_threshold(self):
         tensor = np.zeros((3, 13, 4))
-        tensor[:, 2, 1] = 0.6 * doa_to_unit_vector(30.0, -10.0)
-        tensor[:, 5, 3] = 0.5 * doa_to_unit_vector(0.0, 0.0)
+        tensor[:, 2, 1] = 0.6 * doa_to_unit_vector([(30.0, -10.0)])[0]
+        tensor[:, 5, 3] = 0.5 * doa_to_unit_vector([(0.0, 0.0)])[0]
         events = list(decode(tensor, threshold=0.5))
         # norm 0.5 sits exactly on the threshold and stays silent
         assert [(e.frame, e.class_id) for e in events] == [(1, 2)]
@@ -171,8 +171,8 @@ class TestDecode:
         # below 1e-9 a vector may pass the threshold yet have no direction;
         # such thresholds are refused whatever the tensor holds
         tensor = np.zeros((3, 13, 4))
-        tensor[:, 0, 0] = 5e-10 * doa_to_unit_vector(0.0, 0.0)
-        tensor[:, 1, 2] = 2e-9 * doa_to_unit_vector(90.0, 0.0)
+        tensor[:, 0, 0] = 5e-10 * doa_to_unit_vector([(0.0, 0.0)])[0]
+        tensor[:, 1, 2] = 2e-9 * doa_to_unit_vector([(90.0, 0.0)])[0]
         for threshold in (1e-12, 1e-10, 0.999e-9):
             for t in (tensor, np.zeros((3, 13, 4))):
                 with pytest.raises(SeldkitError, match="1e-09"):
@@ -283,7 +283,7 @@ class TestDecodeMatchesScalar:
     def test_one_row_inverse_matches_scalar(self):
         rng = np.random.default_rng(42)
         for vec in rng.standard_normal((200, 3)):
-            got = unit_vector_to_doa(vec)
+            got = [v[0] for v in unit_vector_to_doa(vec[None])]
             want = oracles._scalar_doa(vec)
             assert [float(v).hex() for v in got] == [v.hex() for v in want]
 

@@ -89,7 +89,6 @@ class TestSwapPattern:
     def test_swaps_xy_iff_quarter_turn_is_odd(self):
         for pattern in enumerate_swap_patterns():
             assert pattern.swaps_xy == (pattern.k % 2 == 1)
-            assert pattern.z_sign == pattern.e
 
     def test_matrix_agrees_with_angle_map(self):
         rng = np.random.default_rng(1)
@@ -98,9 +97,8 @@ class TestSwapPattern:
             for _ in range(20):
                 az = float(rng.uniform(-180.0, 180.0))
                 el = float(rng.uniform(-89.0, 89.0))
-                x, y, z = doa_to_unit_vector(az, el)
                 new_az, new_el = pattern.map_doa(az, el)
-                expected = doa_to_unit_vector(new_az, new_el)
+                (x, y, z), expected = doa_to_unit_vector([(az, el), (new_az, new_el)])
                 got = [m_xx * x + m_xy * y, m_yx * x + m_yy * y, pattern.e * z]
                 assert_allclose(got, expected, atol=1e-12)
 
@@ -641,10 +639,11 @@ class TestAugmentPipeline:
         assert_array_equal(out_l, labs)
         assert out_f.dtype == feats.dtype
 
+    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_same_seed_reproduces_bitwise(self):
         feats, labs = make_sample(26)
         partner = make_sample(27)
-        config = AugmentConfig(mode="custom")
+        config = AugmentConfig(mode="all")
         a = augment_pipeline((feats, labs), partner, config, make_rng(123))
         b = augment_pipeline((feats, labs), partner, config, make_rng(123))
         assert_array_equal(a[0], b[0])
@@ -661,6 +660,7 @@ class TestAugmentPipeline:
         assert any(not np.array_equal(outputs[0], other)
                    for other in outputs[1:])
 
+    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_draw_order_replay(self):
         # the pipeline's generator consumption is a contract: coin for the
         # channel swap, pattern index if it hits, pitch offset, coin and
@@ -670,7 +670,7 @@ class TestAugmentPipeline:
         partner = make_sample(30)
         config = AugmentConfig(
             cs_prob=1.0, ps_range=10, fs_prob=1.0, tm_prob=1.0, mm_prob=1.0,
-            mode="custom",
+            mode="all",
         )
         got_f, got_l = augment_pipeline((feats, labs), partner, config,
                                         make_rng(777))
@@ -718,6 +718,20 @@ class TestAugmentPipeline:
                 augment_pipeline((feats, labs), None, AugmentConfig(),
                                  make_rng(seed))
 
+    def test_partner_shapes_checked_before_any_draw(self):
+        # a partner of another shape fails on every seed, not only where the
+        # mixup coin lands, and before the generator is drawn from
+        feats, labs = make_sample(38, n_labels=10)
+        long_f, long_l = make_sample(39, n_labels=20)
+        cases = (((long_f, long_l), "feature shapes differ"),
+                 ((feats, labs[:, :12]), "label shapes differ"))
+        for partner, message in cases:
+            for seed in range(12):
+                rng = make_rng(seed)
+                with pytest.raises(ShapeMismatch, match=message):
+                    augment_pipeline((feats, labs), partner, AugmentConfig(), rng)
+                assert rng.random() == make_rng(seed).random()  # nothing drawn
+
     def test_no_partner_needed_without_mixup(self):
         feats, labs = make_sample(31)
         for seed in range(20):
@@ -743,7 +757,7 @@ class TestAugmentPipeline:
         feats, labs = make_sample(35)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for mode in ("fs_mm", "tm_mm", "custom"):
+            for mode in ("fs_mm", "tm_mm"):
                 augment_pipeline((feats, labs), None,
                                  identity_config(mode=mode), make_rng(0))
 
@@ -768,10 +782,11 @@ class TestAugmentPipeline:
         assert counts.min() >= 20
         assert counts.max() <= 90
 
+    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_label_norms_stay_exactly_on_or_off(self):
         feats, labs = make_sample(36)
         partner = make_sample(37)
-        config = AugmentConfig(mode="custom")
+        config = AugmentConfig(mode="all")
         for seed in range(30):
             _, out_l = augment_pipeline((feats, labs), partner, config,
                                         make_rng(seed))

@@ -311,6 +311,30 @@ class TestExtractCmd:
         else:
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind", ["not_slsa", "wrong_bins"])
+    def test_unusable_stats_fail_before_any_clip(self, tmp_path, capsys,
+                                                 monkeypatch, kind):
+        manifest, _ = self.make_scene(tmp_path, n_clips=3)
+        stats = tmp_path / "stats.slsa"
+        if kind == "not_slsa":
+            stats.write_bytes(b"frame,class\n")
+        else:
+            write_feature_file(np.ones((2, 7, 100)), stats)
+        stats_bytes = stats.read_bytes()
+        calls = []
+        salsa = features.salsa
+        monkeypatch.setattr(features, "salsa",
+                            lambda clip: calls.append(clip) or salsa(clip))
+        out_dir = tmp_path / "feat"
+        rc = cli.main(["extract", str(manifest), str(out_dir), "--stats", str(stats)])
+        captured = capsys.readouterr()
+        assert rc == 1 and calls == []
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err and str(stats) in err
+        assert list(tmp_path.rglob("*.slsa")) == [stats]
+        assert stats.read_bytes() == stats_bytes
+
     def test_threads_do_not_change_output(self, tmp_path):
         # the command as a user runs it, with stats fitted on the way:
         # one worker and two must write the same features and stats
@@ -528,12 +552,13 @@ class TestAugmentCmd:
         assert err == "error: no label frames to augment\n"
         assert not (tmp_path / "of.slsa").exists()
 
+    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_seed_makes_runs_repeatable(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=10)
         config = tmp_path / "busy.cfg"
         config.write_text(
             "cs_prob = 1\nps_range = 2\nfs_prob = 1\n"
-            "tm_prob = 1\nmm_prob = 0\nmode = custom\n",
+            "tm_prob = 1\nmm_prob = 0\nmode = all\n",
             encoding="utf-8",
         )
         outs = []
@@ -633,6 +658,22 @@ class TestAugmentCmd:
                            "--config", str(config), "--mode", "all"])
         assert rc == 0
         capsys.readouterr()
+
+    def test_partner_of_another_shape_exits_one_whatever_the_seed(self, tmp_path,
+                                                                 capsys):
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=17, n_labels=10)
+        f_b, l_b = make_feature_label_pair(tmp_path, seed=18, n_labels=20, stem="b")
+        f_out, l_out = tmp_path / "of.slsa", tmp_path / "ol.slsa"
+        errors = set()
+        for seed in range(12):
+            rc = cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                           "--partner-features", str(f_b), "--partner-labels", str(l_b),
+                           "--out-features", str(f_out), "--out-labels", str(l_out),
+                           "--seed", str(seed)])
+            assert rc == 1
+            errors.add(capsys.readouterr().err)
+            assert not f_out.exists() and not l_out.exists()
+        assert errors == {"error: feature shapes differ: (7, 30, 80) vs (7, 30, 160)\n"}
 
     @pytest.mark.parametrize("seed", ["0", "17"])
     def test_missing_partner_exits_one_whatever_the_seed(self, tmp_path, capsys,
@@ -974,6 +1015,61 @@ class TestStatsCmd:
                        "--out", str(tmp_path / "n.slsa")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestNoOutputOverAnInput:
+    """An output path that resolves to one of the command's inputs, or to
+    another of its outputs, is refused before anything is read or written."""
+
+    # argv, and the two flags the error names
+    CASES = {
+        "encode": (["encode", "{d}/ref.csv", "--frames", "20", "--out", "{d}/sub/../ref.csv"],
+                   ("labels", "--out")),
+        "decode": (["decode", "{d}/t.slsa", "--out", "{d}/t.slsa"], ("tensor", "--out")),
+        "score": (["score", "{d}/ref.csv", "{d}/ref.csv", "--report", "{d}/ref.csv"],
+                  ("pred", "--report")),
+        "score_sweep": (["score", "{d}/t.slsa", "{d}/ref.csv", "--sweep",
+                         "--report", "{d}/t.slsa"], ("pred", "--report")),
+        "ensemble": (["ensemble", "{d}/t.slsa", "{d}/u.slsa", "--out", "{d}/u.slsa",
+                      "--csv", "{d}/t.slsa"], ("tensor", "--out")),
+        "ensemble_csv": (["ensemble", "{d}/t.slsa", "{d}/u.slsa", "--out", "{d}/new.slsa",
+                          "--csv", "{d}/t.slsa"], ("tensor", "--csv")),
+        "augment_labels": (["augment", "--features", "{d}/a.slsa", "--labels",
+                            "{d}/a_labels.slsa", "--out-features", "{d}/new.slsa",
+                            "--out-labels", "{d}/a_labels.slsa", "--mm-prob", "0"],
+                           ("--labels", "--out-labels")),
+        "augment_partner": (["augment", "--features", "{d}/a.slsa", "--labels",
+                             "{d}/a_labels.slsa", "--partner-features", "{d}/t.slsa",
+                             "--partner-labels", "{d}/u.slsa", "--out-features",
+                             "{d}/sub/../t.slsa", "--out-labels", "{d}/new.slsa"],
+                            ("--partner-features", "--out-features")),
+        "augment_config": (["augment", "--features", "{d}/a.slsa", "--labels",
+                            "{d}/a_labels.slsa", "--config", "{d}/id.cfg",
+                            "--out-features", "{d}/new.slsa", "--out-labels", "{d}/id.cfg"],
+                           ("--config", "--out-labels")),
+        "stats": (["stats", "{d}/a.slsa", "{d}/t.slsa", "--out", "{d}/t.slsa"],
+                  ("features", "--out")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_one_and_inputs_unchanged(self, tmp_path, capsys, case):
+        d = tmp_path
+        (d / "sub").mkdir()
+        make_feature_label_pair(d, seed=19)
+        write_label_csv(nonempty_events(19), d / "ref.csv")
+        write_feature_file(accdoa.encode(nonempty_events(20), 20), d / "t.slsa")
+        write_feature_file(accdoa.encode(nonempty_events(21), 20), d / "u.slsa")
+        (d / "id.cfg").write_text(IDENTITY_CONFIG, encoding="utf-8")
+        before = {p: p.read_bytes() for p in d.iterdir() if p.is_file()}
+        argv, (flag_in, flag_out) = self.CASES[case]
+        rc = cli.main([arg.format(d=d) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith(f"error: {flag_in} {d}/") and "\n" not in err
+        assert err.endswith(" are the same file") and f" and {flag_out} {d}/" in err
+        assert {p: p.read_bytes() for p in d.iterdir() if p.is_file()} == before
 
 
 class TestExitCodes:

@@ -32,7 +32,7 @@ MANIFEST = (b"audio_path,label_path,split\n{d}/clip.wav,{d}/clip.csv,train\n"
             b"{d}/gone.wav,,val\n{d}/folder.wav,x.csv,test\n")
 CONFIG = (b"# knobs\ncs_prob = 0.5\nps_range = 3\nfs_prob = 1\ntm_prob = 0.5\n"
           b"tm_ratio_min = 0.05\ntm_ratio_max = 0.5\nmm_prob = 0.5\n"
-          b"mm_beta_alpha = 0.2\nmode = custom\nseed = 5\n")
+          b"mm_beta_alpha = 0.2\nmode = all\nseed = 5\n")
 
 
 def edited(blob, edits, cut):
@@ -105,7 +105,7 @@ def test_nul_in_an_audio_path_names_the_line(scene, capsys):
 
 @settings(max_examples=100, deadline=None)
 @given(mutations(CONFIG))
-@example(CONFIG.replace(b"mode = custom", b"mode = cus\0tom"))
+@example(CONFIG.replace(b"mode = all", b"mode = a\0ll"))
 @example(CONFIG.replace(b"ps_range = 3", b"ps_range = 1e-300"))
 @example(CONFIG.replace(b"ps_range = 3", b"ps_range = 9223372036854775807"))
 @example(CONFIG.replace(b"mm_beta_alpha = 0.2", b"mm_beta_alpha = 1e-300"))

@@ -1,7 +1,9 @@
-"""What a fresh interpreter loads: `import seldkit` costs numpy and seldkit's
-own modules, and each command imports only the scipy piece it runs.
+"""The package's top level: the names it exports, each listed in README's
+Library API section, and what a fresh interpreter loads: `import seldkit`
+costs numpy and seldkit's own modules, and each command imports only the
+scipy piece it runs.
 
-Each case starts a new interpreter, imports seldkit and its CLI, then runs
+Each import case starts a new interpreter, imports seldkit and its CLI, then runs
 commands through cli.main, recording after each which of the watched
 scipy subpackages are in sys.modules. The inputs are written here, by a
 process that may import anything.
@@ -9,14 +11,17 @@ process that may import anything.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import seldkit
 from seldkit import Event, accdoa, cli
 from seldkit.dataset_io import write_feature_file, write_label_csv
 
@@ -105,3 +110,26 @@ def test_extract_adds_scipy_io_only(inputs):
     assert (inputs / "feat" / "clip.slsa").exists()
     assert before == set()
     assert after == {"scipy.io"}
+
+
+def top_level_names():
+    """The names `import seldkit` gives, other than submodules and dunders."""
+    return {name for name, value in vars(seldkit).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+
+
+def library_api_names():
+    """The names README's Library API section lists, one `- `name`:` line each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `(\w+)`: \S", section, flags=re.M)
+
+
+def test_every_top_level_name_is_in_the_library_api_list():
+    assert top_level_names() - set(library_api_names()) == set()
+
+
+def test_every_listed_name_exists_once():
+    listed = library_api_names()
+    assert len(listed) == len(set(listed))
+    assert set(listed) - top_level_names() == set()

@@ -10,22 +10,21 @@ import oracles
 from seldkit import (
     Event,
     Events,
-    angular_distance,
     compute_seld_scores,
     decode,
     doa_to_unit_vector,
     encode,
     enumerate_swap_patterns,
-    match_cell,
     segment_events,
     threshold_sweep,
 )
 from seldkit import cli
-from seldkit.accdoa import _row_norms, _unit_vectors
+from seldkit.accdoa import _row_norms
 from seldkit.dataset_io import read_label_csv, write_feature_file, write_label_csv
-from seldkit.errors import ElevationOutOfRange, SeldkitError, ZeroVector
+from seldkit.errors import ElevationOutOfRange, SeldkitError
 from seldkit.metrics import (
     SeldScores,
+    _angles,
     _match_cells,
     format_scores_line,
     format_sweep_table,
@@ -46,48 +45,52 @@ def deduped(events):
     return out
 
 
+def match_one_cell(preds, refs):
+    """[(pred row, ref row, angle)] of the pairs _match_cells forms in one
+    cell of (azimuth, elevation) DoA lists."""
+    def side(doas):
+        vecs = doa_to_unit_vector(np.reshape(doas, (-1, 2)))
+        return vecs, _row_norms(vecs), np.array([len(vecs)])
+
+    _, i, j, angle = _match_cells(side(preds), side(refs))
+    return list(zip(i.tolist(), j.tolist(), angle.tolist()))
+
+
+def angle(doa_a, doa_b):
+    """The scorer's great-circle angle between two DoAs, in degrees."""
+    return match_one_cell([doa_a], [doa_b])[0][2]
+
+
 class TestAngularDistance:
     def test_axis_cases(self):
-        x = [1, 0, 0]
-        y = [0, 1, 0]
-        assert angular_distance(x, x) == 0.0
-        assert_allclose(angular_distance(x, y), 90.0, rtol=1e-12)
-        assert_allclose(angular_distance(x, [-1, 0, 0]), 180.0, rtol=1e-12)
-        assert_allclose(angular_distance(x, [1, 1, 0]), 45.0, rtol=1e-12)
+        assert angle((0, 0), (0, 0)) == 0.0
+        assert_allclose(angle((0, 0), (90, 0)), 90.0, rtol=1e-12)
+        assert_allclose(angle((0, 0), (180, 0)), 180.0, rtol=1e-12)
+        assert_allclose(angle((0, 0), (45, 0)), 45.0, rtol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            a = rng.standard_normal(3)
-            b = rng.standard_normal(3)
-            if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-3:
-                continue
-            assert_allclose(
-                angular_distance(a, b), angular_distance(3.0 * a, 0.25 * b),
-                atol=1e-10,
-            )
+        a, b = rng.standard_normal((2, 50, 3))
+        keep = np.minimum(_row_norms(a), _row_norms(b)) >= 1e-3
+        a, b = a[keep], b[keep]
+        assert_allclose(
+            _angles(a, _row_norms(a), b, _row_norms(b)),
+            _angles(3.0 * a, _row_norms(3.0 * a), 0.25 * b, _row_norms(0.25 * b)),
+            atol=1e-10,
+        )
 
     def test_near_parallel_vectors_stay_finite(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([1.0, 1e-9, 0.0])
-        angle = angular_distance(a, b)
-        assert np.isfinite(angle)
-        assert angle < 1e-5
+        got = angle((0.0, 0.0), (float(np.rad2deg(1e-9)), 0.0))
+        assert np.isfinite(got)
+        assert got < 1e-5
 
     def test_matches_doa_formula(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             doa_a = (float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90)))
             doa_b = (float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90)))
-            got = angular_distance(doa_to_unit_vector(*doa_a),
-                                   doa_to_unit_vector(*doa_b))
-            assert_allclose(got, oracles.angle_between(doa_a, doa_b), atol=1e-9)
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            angular_distance([0, 0, 0], [1, 0, 0])
-        with pytest.raises(ZeroVector):
-            angular_distance([1, 0, 0], [1e-12, 0, 0])
+            assert_allclose(angle(doa_a, doa_b), oracles.angle_between(doa_a, doa_b),
+                            atol=1e-9)
 
 
 class TestSegmentEvents:
@@ -109,21 +112,15 @@ class TestSegmentEvents:
         events = [Event(0, 1, 10.0, 0.0), Event(0, 2, 10.0, 0.0)]
         assert set(segment_events(events)) == {(0, 1), (0, 2)}
 
-    def test_custom_segment_length(self):
-        events = [Event(4, 0, 0.0, 0.0), Event(5, 0, 10.0, 0.0)]
-        cells = segment_events(events, segment_len=5)
-        assert set(cells) == {(0, 0), (1, 0)}
-
 
 class TestMatchCell:
     def test_empty_sides(self):
-        assert match_cell([], []) == ([], 0, 0)
-        assert match_cell([(0.0, 0.0)], []) == ([], 1, 0)
-        assert match_cell([], [(0.0, 0.0), (1.0, 0.0)]) == ([], 0, 2)
+        assert match_one_cell([], []) == []
+        assert match_one_cell([(0.0, 0.0)], []) == []
+        assert match_one_cell([], [(0.0, 0.0), (1.0, 0.0)]) == []
 
     def test_single_pair(self):
-        pairs, up, ur = match_cell([(10.0, 0.0)], [(40.0, 0.0)])
-        assert (up, ur) == (0, 0)
+        pairs = match_one_cell([(10.0, 0.0)], [(40.0, 0.0)])
         assert len(pairs) == 1
         assert pairs[0][:2] == (0, 0)
         assert_allclose(pairs[0][2], 30.0, rtol=1e-12)
@@ -131,17 +128,15 @@ class TestMatchCell:
     def test_crossed_pairs_take_the_cheaper_assignment(self):
         preds = [(0.0, 0.0), (20.0, 0.0)]
         refs = [(25.0, 0.0), (5.0, 0.0)]
-        pairs, up, ur = match_cell(preds, refs)
-        assert (up, ur) == (0, 0)
+        pairs = match_one_cell(preds, refs)
         assert sorted((i, j) for i, j, _ in pairs) == [(0, 1), (1, 0)]
         assert_allclose(sorted(a for _, _, a in pairs), [5.0, 5.0], rtol=1e-12)
 
     def test_rectangular_cells(self):
         preds = [(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)]
         refs = [(92.0, 0.0)]
-        pairs, up, ur = match_cell(preds, refs)
-        assert (up, ur) == (2, 0)
-        assert pairs[0][:2] == (1, 0)
+        pairs = match_one_cell(preds, refs)
+        assert [pair[:2] for pair in pairs] == [(1, 0)]
         assert_allclose(pairs[0][2], 2.0, rtol=1e-10)
 
     def test_total_angle_matches_brute_force(self):
@@ -153,7 +148,7 @@ class TestMatchCell:
                      for _ in range(n_p)]
             refs = [(float(rng.uniform(-180, 180)), float(rng.uniform(-89, 89)))
                     for _ in range(n_r)]
-            pairs, _, _ = match_cell(preds, refs)
+            pairs = match_one_cell(preds, refs)
             cost = np.array([
                 [oracles.angle_between(p, r) for r in refs] for p in preds
             ])
@@ -214,13 +209,6 @@ class TestHandScores:
         miss = compute_seld_scores([Event(0, 0, 20.1, 0.0)], refs)
         assert (miss.er, miss.f1) == (1.0, 0.0)
 
-    def test_wide_threshold_forgives(self):
-        refs = [Event(0, 0, 0.0, 0.0)]
-        scores = compute_seld_scores([Event(0, 0, 25.0, 0.0)], refs,
-                                     spatial_threshold=30.0)
-        assert (scores.er, scores.f1) == (0.0, 100.0)
-        assert_allclose(scores.le, 25.0, rtol=1e-12)
-
     def test_missed_second_source(self):
         refs = [Event(0, 0, 0.0, 0.0), Event(0, 0, 90.0, 0.0)]
         preds = [Event(0, 0, 1.0, 0.0)]
@@ -276,15 +264,12 @@ class TestHandScores:
         with pytest.raises(ValueError):
             compute_seld_scores([], [], average="weighted")
 
-    def test_bad_average_and_segment_length_are_input_errors(self):
+    def test_bad_average_is_an_input_error(self):
         events = [Event(0, 0, 0.0, 0.0)]
         with pytest.raises(SeldkitError, match="average must be"):
             compute_seld_scores(events, events, average="weighted")
-        for segment_len in (0, -1):
-            with pytest.raises(SeldkitError, match="segment_len must be at least 1"):
-                compute_seld_scores(events, events, segment_len=segment_len)
-            with pytest.raises(SeldkitError, match="segment_len must be at least 1"):
-                segment_events(events, segment_len=segment_len)
+        with pytest.raises(SeldkitError, match="average must be"):
+            threshold_sweep(encode(events, 1), events, average="weighted")
 
 
 class TestAgainstBruteForce:
@@ -365,7 +350,7 @@ def random_doas(rng, n, clustered=False):
 
 
 class TestArrayCostMatchesScalar:
-    """The array cost matrix and match_cell reproduce the per-entry scalar
+    """The array cost matrix and one-cell matching reproduce the per-entry scalar
     angles bit for bit, including the 1-row and 1-column shapes where a
     plain a @ b.T would take a different BLAS path."""
 
@@ -384,18 +369,15 @@ class TestArrayCostMatchesScalar:
                 refs = random_doas(rng, n_r, clustered)
                 want = oracles.scalar_cost_matrix(preds, refs)
                 rows, cols = linear_sum_assignment(want)
-                pairs, up, ur = match_cell(preds, refs)
-                assert pairs == [(int(i), int(j), float(want[i, j]))
-                                 for i, j in zip(rows, cols)]
-                assert (up, ur) == (n_p - len(pairs), n_r - len(pairs))
+                assert match_one_cell(preds, refs) == [
+                    (int(i), int(j), float(want[i, j])) for i, j in zip(rows, cols)]
 
     def test_one_row_helpers_match_scalar(self):
         rng = np.random.default_rng(33)
         for p, r in zip(random_doas(rng, 200), random_doas(rng, 200)):
-            a, b = doa_to_unit_vector(*p), doa_to_unit_vector(*r)
+            a, b = doa_to_unit_vector([p])[0], doa_to_unit_vector([r])[0]
             assert np.array_equal(a, oracles._scalar_unit_vector(*p))
-            assert angular_distance(a, b) == oracles._scalar_angle(a, b)
-
+            assert angle(p, r) == oracles._scalar_angle(a, b)
 
     def test_many_cells_at_once_match_cell_by_cell(self):
         # one ragged batch of cells of every shape, empty sides included,
@@ -407,13 +389,14 @@ class TestArrayCostMatchesScalar:
                  for p, r in shapes]
 
         def side(k):
-            vecs = _unit_vectors([d for cell in cells for d in cell[k]])
+            vecs = doa_to_unit_vector(np.reshape([d for cell in cells for d in cell[k]],
+                                                 (-1, 2)))
             return vecs, _row_norms(vecs), np.array([len(c[k]) for c in cells])
 
         cell, i, j, angle = _match_cells(side(0), side(1))
         got = list(zip(cell.tolist(), i.tolist(), j.tolist(), angle.tolist()))
         want = [(c, *pair) for c, (preds, refs) in enumerate(cells)
-                for pair in match_cell(preds, refs)[0]]
+                for pair in match_one_cell(preds, refs)]
         assert got == want
 
 
@@ -433,23 +416,19 @@ class TestLineCellTies:
         cost = oracles.scalar_cost_matrix(preds, refs)
         assert np.count_nonzero(cost == cost.min()) > 1  # a real tie
         rows, cols = linear_sum_assignment(cost)
-        pairs, _, _ = match_cell(preds, refs)
-        assert pairs == [(int(i), int(j), float(cost[i, j]))
+        assert match_one_cell(preds, refs) == [(int(i), int(j), float(cost[i, j]))
                          for i, j in zip(rows, cols)]
 
     @pytest.mark.parametrize("preds, refs", CELLS)
     def test_scores_match_brute_force(self, preds, refs):
         pred_events = [Event(3, 2, az, el) for az, el in preds]
         ref_events = [Event(5, 2, az, el) for az, el in refs]
-        for average in ("macro", "micro"):
-            for threshold in (2.0, 15.0, 45.0):  # clear of every angle
-                got = compute_seld_scores(pred_events, ref_events, threshold,
-                                          average=average)
-                want = oracles.brute_force_seld_scores(
-                    pred_events, ref_events, threshold, average=average)
-                assert (got.er, got.f1, got.lr) == (want["er"], want["f1"],
-                                                     want["lr"])
-                assert_allclose(got.le, want["le"], rtol=1e-12)
+        for average in ("macro", "micro"):  # 20 degrees is clear of every angle
+            got = compute_seld_scores(pred_events, ref_events, average=average)
+            want = oracles.brute_force_seld_scores(pred_events, ref_events,
+                                                   average=average)
+            assert (got.er, got.f1, got.lr) == (want["er"], want["f1"], want["lr"])
+            assert_allclose(got.le, want["le"], rtol=1e-12)
 
 
 class TestRowOrderInvariance:
@@ -517,9 +496,8 @@ class TestSwapPatternInvariance:
             preds = sorted(set(preds + helpers.random_events(rng, 60, max_events=20)))
             refs, preds = Events.of(refs), Events.of(preds)
             pred_cells, ref_cells = segment_events(preds), segment_events(refs)
-            angles = [angular_distance(doa_to_unit_vector(*p), doa_to_unit_vector(*r))
-                      for cell, doas in pred_cells.items() for p in doas
-                      for r in ref_cells.get(cell, ())]
+            angles = [angle(p, r) for cell, doas in pred_cells.items()
+                      for p in doas for r in ref_cells.get(cell, ())]
             if all(abs(angle - 20.0) > 1e-6 for angle in angles):
                 return preds, refs
 
@@ -550,18 +528,15 @@ class TestBoundariesAndTies:
     def test_twenty_degrees_measures_just_under_the_gate(self):
         # 20 degrees of azimuth comes out one ulp short of 20.0 and counts
         # as a location-dependent true positive
-        pairs, _, _ = match_cell([(20.0, 0.0)], [(0.0, 0.0)])
-        assert pairs == [(0, 0, 19.999999999999993)]
+        assert match_one_cell([(20.0, 0.0)], [(0.0, 0.0)]) == [(0, 0, 19.999999999999993)]
         scores = compute_seld_scores([Event(0, 0, 20.0, 0.0)],
                                      [Event(0, 0, 0.0, 0.0)])
         assert (scores.er, scores.f1) == (0.0, 100.0)
         assert scores.le == 19.999999999999993
 
     def test_tied_assignment_keeps_the_diagonal(self):
-        got = match_cell([(10, 0), (-10, 0)], [(0, 10), (0, -10)])
-        assert got == (
-            [(0, 0, 14.106044260566337), (1, 1, 14.106044260566337)], 0, 0
-        )
+        got = match_one_cell([(10, 0), (-10, 0)], [(0, 10), (0, -10)])
+        assert got == [(0, 0, 14.106044260566337), (1, 1, 14.106044260566337)]
 
     def test_elevation_out_of_range_in_a_matched_cell(self):
         with pytest.raises(ElevationOutOfRange):
@@ -578,7 +553,7 @@ class TestBoundariesAndTies:
                     [Event(0, 0, 0.0, 0.0), Event(1, 0, 9.0, 0.0),
                      Event(0, 1, 0.0, 0.0)])
             with pytest.raises(ValueError, match="invalid numeric entries"):
-                match_cell([(bad, 0.0)], [(0.0, 0.0), (9.0, 0.0)])
+                match_one_cell([(bad, 0.0)], [(0.0, 0.0), (9.0, 0.0)])
 
     def test_elevation_out_of_range_in_an_unmatched_cell(self):
         # every DoA of a call is converted up front, so a bad event is
@@ -617,26 +592,16 @@ class TestThresholdSweep:
         assert recalls[0] >= recalls[1] - 1e-12
         assert recalls[1] >= recalls[2] - 1e-12
 
-    def test_custom_thresholds_and_kwargs(self):
-        refs = [Event(0, 0, 0.0, 0.0)]
-        tensor = encode(refs, 1)
-        rows = threshold_sweep(tensor, refs, thresholds=(0.9,), average="micro")
-        assert len(rows) == 1
-        assert rows[0][0] == 0.9
-        assert rows[0][1].f1 == 100.0
-
     def test_matches_scoring_each_threshold(self):
         rng = np.random.default_rng(34)
         refs = helpers.random_events(rng, n_frames=40, max_events=30)
         tensor = encode(refs, 40) * 0.6 + rng.uniform(-0.3, 0.3, (3, 13, 40))
-        kwargs = {"spatial_threshold": 30.0, "segment_len": 5,
-                  "average": "micro"}
-        thresholds = (0.2, 0.4, 0.6)
-        rows = threshold_sweep(tensor, refs, thresholds, **kwargs)
-        assert rows == [
-            (thr, compute_seld_scores(decode(tensor, thr), refs, **kwargs))
-            for thr in thresholds
-        ]
+        for average in ("macro", "micro"):
+            rows = threshold_sweep(tensor, refs, average=average)
+            assert rows == [
+                (thr, compute_seld_scores(decode(tensor, thr), refs, average=average))
+                for thr in (0.3, 0.5, 0.7)
+            ]
 
 
 class TestFormatting:

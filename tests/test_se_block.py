@@ -17,12 +17,10 @@ import helpers
 import oracles
 from seldkit import (
     SeParams,
-    channel_se_forward,
-    freq_se_forward,
     gradcheck,
     make_rng,
+    multi_dim_se_backward,
     multi_dim_se_forward,
-    se_backward,
     zero_params,
 )
 from seldkit import se_block
@@ -30,10 +28,12 @@ from seldkit.errors import SeldkitError, ShapeMismatch
 from seldkit.se_block import (
     GRADCHECK_BLOCKS,
     channel_se_backward,
+    channel_se_forward,
     freq_se_backward,
+    freq_se_forward,
     gradcheck_params,
-    multi_dim_se_backward,
     random_params,
+    se_backward,
 )
 
 
