@@ -353,7 +353,7 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     the draws.
     """
     feats, labs = sample_a
-    feats = np.array(feats)
+    feats = np.asarray(feats)  # pitch_shift always returns a fresh gather
     labs = np.array(labs)
     _check_time_alignment(feats, labs)
     if labs.shape[2] == 0:

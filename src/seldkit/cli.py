@@ -138,12 +138,15 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
     out_paths = {e: out_dir / (Path(e.audio_path).stem + ".slsa")
                  for e in manifest.entries}
-    for entry, out_path in out_paths.items():
-        if args.stats and out_path.resolve() == Path(args.stats).resolve():
-            raise SeldkitError(f"--stats {args.stats} is where the features of "
-                               f"{entry.audio_path} would be written")
+    # an existing --stats file is read, a missing one is written
+    stats_read = bool(args.stats) and Path(args.stats).exists()
+    _check_outputs(
+        [("manifest", args.manifest), ("--stats", args.stats if stats_read else None)]
+        + [("audio", e.audio_path) for e in manifest.entries],
+        [(f"features of {e.audio_path}", p) for e, p in out_paths.items()]
+        + [("--stats", None if stats_read else args.stats)])
     stats = None
-    if args.stats and Path(args.stats).exists():  # checked before any clip is read
+    if stats_read:  # checked before any clip is read
         stats = features.load_norm_stats(args.stats)
         if stats.mean.shape != (7, features.N_FREQ_BINS):
             raise ShapeMismatch(

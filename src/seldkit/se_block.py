@@ -14,10 +14,23 @@ through the squeeze means and the gates. Each backward runs the forward once
 and reads its intermediates (means, hidden activations, gates) from the
 forward's cache, so every squeeze and bottleneck is computed once per call.
 No call writes into an array it was given.
+
+Results of 1 MiB or more (the output y and the input gradient grad_x) are
+views of buffers each thread keeps for reuse. A buffer is handed out again
+only once nothing outside the pool refers to it: not the result, a slice or
+view of it, nor a memoryview of it (a raw data address is no reference).
+So a training loop that drops each step's results stops faulting their
+pages in afresh, and a result that is still held keeps its values. A
+thread keeps at most four such buffers and 32 MiB; a result that does not
+fit is a fresh array, as is every result where the interpreter cannot
+count references.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -128,8 +141,11 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
     grad_y = _as_grad(grad_y, x)
     freq_cache = _se(x, p_freq, "freq")
     chan_cache = _se(_gate(freq_cache), p_chan, "channel")
-    grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y)
-    del chan_cache  # frees the gated map before the frequency stage's temporaries
+    # the channel einsum is the gated map's last reader, so grad_inner
+    # overwrites it and the whole backward holds one map
+    grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y,
+                                       out=chan_cache[0])
+    del chan_cache
     grad_x, grad_p_freq = _se_grad(freq_cache, p_freq, grad_inner, out=grad_inner)
     return grad_x, grad_p_freq, grad_p_chan
 
@@ -244,15 +260,17 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 def _gate(cache: tuple, out=None) -> np.ndarray:
     """The output y of the _se call that made cache: x gated by s, written
-    into out if given (x itself may be out)."""
+    into out if given (x itself may be out), else into a _result array."""
     x, _, gate_shape, *_, s = cache
+    if out is None:
+        out = _result(x.shape)
     return np.multiply(s.reshape(gate_shape), x, out=out)
 
 
 def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray, out=None) -> tuple:
     """Exact gradients of _gate(cache) from the cache and a grad_y of x's
     shape: (grad_x, parameter gradients). grad_x is written into out if
-    given (grad_y itself may be out)."""
+    given (grad_y itself may be out), else into a _result array."""
     x, axes, gate_shape, z, a1, h, s = cache
     kept = "".join(c for a, c in enumerate("cft") if a not in axes)
     grad_s = np.einsum(f"cft,cft->{kept}", grad_y, x,
@@ -264,10 +282,60 @@ def _se_grad(cache: tuple, p: SeParams, grad_y: np.ndarray, out=None) -> tuple:
     grad_w1 = grad_a1 @ z.T
     grad_z = p.w1.T @ grad_a1
 
+    if out is None:
+        out = _result(grad_y.shape)
     grad_x = np.multiply(s.reshape(gate_shape), grad_y, out=out)
     grad_x += grad_z.reshape(gate_shape) / (x.size // s.size)
     return grad_x, SeParams(grad_w1, grad_a1.sum(axis=1),
                             grad_w2, grad_a2.sum(axis=1))
+
+
+# Reusable float64 result buffers, per thread (see the module docstring).
+_POOL_MIN_BYTES = 1 << 20
+_POOL_MAX_BUFFERS = 4
+_POOL_MAX_BYTES = 32 << 20
+
+
+class _Pool(threading.local):
+    def __init__(self):
+        self.buffers = []
+
+
+_pool = _Pool()
+
+
+def _refcounts(buffers: list) -> list:
+    return [sys.getrefcount(buf) for buf in buffers]
+
+
+# What _refcounts reads for a buffer only the pool's list refers to,
+# measured the way _result reads it (how many references the call itself
+# adds depends on the interpreter); None turns the pool off.
+_FREE_REFS = (_refcounts([np.empty(0)])[0] if hasattr(sys, "getrefcount")
+              else None)
+
+
+def _result(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of shape: a view of a pooled buffer
+    nothing else refers to, else a fresh array, pooled if it fits."""
+    nbytes = 8 * math.prod(shape)
+    if _FREE_REFS is None or nbytes < _POOL_MIN_BYTES:
+        return np.empty(shape)
+    buffers = _pool.buffers
+    for i, refs in enumerate(_refcounts(buffers)):
+        if refs == _FREE_REFS and buffers[i].shape == shape:
+            buffers.append(buffers.pop(i))
+            return buffers[-1].view()
+    buf = np.empty(shape)
+    if nbytes > _POOL_MAX_BYTES:
+        return buf
+    # forgetting the oldest buffers is safe: one still held simply stops
+    # being reused
+    buffers.append(buf)
+    while (len(buffers) > _POOL_MAX_BUFFERS
+           or sum(b.nbytes for b in buffers) > _POOL_MAX_BYTES):
+        del buffers[0]
+    return buf.view()
 
 
 def _as_tensor3(x) -> np.ndarray:

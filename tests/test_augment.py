@@ -640,6 +640,24 @@ class TestAugmentPipeline:
         assert out_f.dtype == feats.dtype
 
     @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
+    @pytest.mark.parametrize("on", [
+        frozenset(c for i, c in enumerate(("cs", "fs", "tm", "mm")) if bits >> i & 1)
+        for bits in range(16)])
+    def test_outputs_never_alias_the_inputs(self, on):
+        feats, labs = make_sample(31)
+        partner = make_sample(32)
+        mode = {frozenset(): "fs_mm", frozenset({"fs"}): "fs_mm",
+                frozenset({"tm"}): "tm_mm"}.get(on & {"fs", "tm"}, "all")
+        config = identity_config(mode=mode, **{f"{c}_prob": 1.0 for c in on})
+        inputs = [feats, labs, *partner]
+        before = [a.copy() for a in inputs]
+        outputs = augment_pipeline((feats, labs), partner, config, make_rng(9))
+        for out in outputs:
+            assert not any(np.shares_memory(out, a) for a in inputs)
+        for a, b in zip(inputs, before):
+            assert_array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_same_seed_reproduces_bitwise(self):
         feats, labs = make_sample(26)
         partner = make_sample(27)

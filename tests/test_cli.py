@@ -311,6 +311,36 @@ class TestExtractCmd:
         else:
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("over", ["manifest", "audio"])
+    def test_output_over_an_input_fails_before_any_clip(self, tmp_path, capsys,
+                                                         monkeypatch, over):
+        # "manifest": extract feat/clip1.slsa feat, whose clip1.wav row
+        # would be written over it; "audio": a row lists w/feat/clip1.slsa,
+        # RIFF bytes that extracting into w/feat would replace
+        out_dir = tmp_path / "w" / "feat"
+        out_dir.mkdir(parents=True)
+        manifest, rows = self.make_scene(tmp_path)
+        if over == "manifest":
+            victim = out_dir / "clip1.slsa"
+            write_manifest(victim, rows)
+            manifest = victim
+        else:
+            victim = out_dir / "clip1.slsa"
+            victim.write_bytes(Path(rows[1][0]).read_bytes())
+            write_manifest(manifest, [rows[0], (str(victim), rows[1][1], "train")])
+        before = victim.read_bytes()
+        calls = []
+        monkeypatch.setattr(features, "salsa", lambda clip: calls.append(clip))
+        rc = cli.main(["extract", str(manifest), str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1 and calls == []
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith(f"error: {over} {victim} and features of ")
+        assert err.endswith(" are the same file") and "\n" not in err
+        assert victim.read_bytes() == before
+        assert [p.name for p in out_dir.iterdir()] == [victim.name]
+
     @pytest.mark.parametrize("kind", ["not_slsa", "wrong_bins"])
     def test_unusable_stats_fail_before_any_clip(self, tmp_path, capsys,
                                                  monkeypatch, kind):

@@ -7,6 +7,8 @@ gradients must vanish identically, analytic and numeric alike.
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -354,17 +356,167 @@ class TestAgainstUnfusedReference:
             assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
+@pytest.fixture
+def empty_pool():
+    se_block._pool.buffers.clear()
+    yield se_block._pool.buffers
+    se_block._pool.buffers.clear()
+
+
+def loader_step_inputs(seed):
+    """The benchmark's loader shape and ratios, float32 as read from disk."""
+    rng = rng_for(seed)
+    x = rng.standard_normal((7, 200, 400)).astype(np.float32)
+    return x, random_params(rng, 200, 4), random_params(rng, 7, 1)
+
+
 class TestSePathMemory:
-    def test_float32_step_allocates_few_tensors(self):
-        # one (7, 200, 400) float64 tensor is 4.3 MiB: the forward holds
-        # one, the backward two; float32 input is never widened whole
-        rng = rng_for(31)
-        x = rng.standard_normal((7, 200, 400)).astype(np.float32)
-        p_freq, p_chan = random_params(rng, 200, 4), random_params(rng, 7, 1)
+    def test_float32_step_allocates_few_tensors(self, empty_pool):
+        # one (7, 200, 400) float64 tensor is 4.3 MiB: with nothing to
+        # reuse, the forward and the backward each allocate one, next to
+        # the frequency stage's (F, T) temporaries (two maps read 10.1);
+        # float32 input is never widened whole
+        x, p_freq, p_chan = loader_step_inputs(31)
         grad_y = multi_dim_se_forward(x, p_freq, p_chan)
         peak = helpers.traced_peak_mib
+        empty_pool.clear()
         assert peak(multi_dim_se_forward, x, p_freq, p_chan) <= 6.5
-        assert peak(multi_dim_se_backward, x, p_freq, p_chan, grad_y) <= 14.0
+        empty_pool.clear()
+        assert peak(multi_dim_se_backward, x, p_freq, p_chan, grad_y) <= 9.0
+
+    def test_steady_step_allocates_no_tensor(self, empty_pool):
+        # once a step's results are dropped, the next step writes into
+        # their buffers: what is left is the temporaries, about 4.4 MiB
+        x, p_freq, p_chan = loader_step_inputs(32)
+
+        def step():
+            y = multi_dim_se_forward(x, p_freq, p_chan)
+            multi_dim_se_backward(x, p_freq, p_chan, y)
+
+        step()
+        y = multi_dim_se_forward(x, p_freq, p_chan)
+        peak = helpers.traced_peak_mib
+        assert peak(multi_dim_se_backward, x, p_freq, p_chan, y) <= 6.5
+        del y
+        assert peak(step) <= 6.5
+
+
+class TestResultPool:
+    def test_calibrated_at_import(self):
+        assert isinstance(se_block._FREE_REFS, int)
+
+    def test_dropped_result_buffer_is_reused(self, empty_pool):
+        x, p_freq, p_chan = loader_step_inputs(40)
+        y = multi_dim_se_forward(x, p_freq, p_chan)
+        want, address = y.copy(), y.ctypes.data
+        del y
+        y = multi_dim_se_forward(x, p_freq, p_chan)
+        assert y.ctypes.data == address
+        assert [np.shares_memory(y, b) for b in empty_pool] == [True]
+        assert_array_equal(y, want)
+
+    def test_held_result_keeps_its_buffer_and_values(self, empty_pool):
+        x, p_freq, p_chan = loader_step_inputs(41)
+        held = multi_dim_se_forward(x, p_freq, p_chan)
+        want = held.copy()
+        later = [multi_dim_se_forward(x * k, p_freq, p_chan) for k in (2, 3)]
+        later.append(multi_dim_se_backward(x, p_freq, p_chan, x)[0])
+        for y in later:
+            assert not np.shares_memory(y, held)
+        assert_array_equal(held, want)
+
+    @pytest.mark.parametrize("keep", [lambda y: y[0], memoryview,
+                                      lambda y: y.reshape(-1)[::2]])
+    def test_a_view_keeps_the_buffer_out_of_the_pool(self, empty_pool, keep):
+        x, p_freq, p_chan = loader_step_inputs(42)
+        y = multi_dim_se_forward(x, p_freq, p_chan)
+        kept = keep(y)
+        want = np.array(kept)
+        del y
+        for k in (2, 3):
+            y = multi_dim_se_forward(x * k, p_freq, p_chan)
+            assert not np.shares_memory(y, np.asarray(kept))
+        assert_array_equal(np.asarray(kept), want)
+
+    def test_threads_get_disjoint_buffers(self, empty_pool):
+        # more threads than cores, switching often: each holds one result
+        # while it makes the next, and every result must keep its values
+        rng = rng_for(43)
+        x = rng.standard_normal((7, 200, 200)).astype(np.float32)
+        p_freq, p_chan = random_params(rng, 200, 4), random_params(rng, 7, 1)
+        n = 4
+        want = [multi_dim_se_forward(x * (k + 1), p_freq, p_chan).copy()
+                for k in range(n)]
+        barrier = threading.Barrier(n, timeout=60)
+        addresses = [set() for _ in range(n)]
+        errors = []
+
+        def work(k):
+            try:
+                held = multi_dim_se_forward(x * (k + 1), p_freq, p_chan)
+                for _ in range(6):
+                    y = multi_dim_se_forward(x * (k + 1), p_freq, p_chan)
+                    addresses[k].update((y.ctypes.data, held.ctypes.data))
+                    assert_array_equal(held, want[k])
+                    assert_array_equal(y, want[k])
+                    held = y
+                barrier.wait()  # every thread, and so every pool, alive
+            except Exception as exc:
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for k in range(n):
+            assert len(addresses[k]) == 2
+            for other in addresses[k + 1:]:
+                assert not addresses[k] & other
+
+    def test_retained_bytes_stay_under_the_budget(self, empty_pool):
+        # channel SE over (7, 64, T): 3,584 result bytes per frame
+        p = random_params(rng_for(44), 7, 1)
+        for t in (290, 300, 600, 1200, 2400, 4800, 9000, 300, 9400):
+            x = np.ones((7, 64, t), dtype=np.float32)
+            y = channel_se_forward(x, p)
+            assert len(empty_pool) <= se_block._POOL_MAX_BUFFERS
+            assert sum(b.nbytes for b in empty_pool) <= se_block._POOL_MAX_BYTES
+            pooled = any(np.shares_memory(y, b) for b in empty_pool)
+            assert pooled == (se_block._POOL_MIN_BYTES <= y.nbytes
+                              <= se_block._POOL_MAX_BYTES)
+            del y
+
+    def test_no_pool_without_reference_counts(self, empty_pool, monkeypatch):
+        monkeypatch.setattr(se_block, "_FREE_REFS", None)
+        x, p_freq, p_chan = loader_step_inputs(45)
+        y = multi_dim_se_forward(x, p_freq, p_chan)
+        multi_dim_se_backward(x, p_freq, p_chan, y)
+        assert empty_pool == []
+
+    def test_grad_x_never_shares_memory_with_grad_y(self, empty_pool):
+        x, p_freq, p_chan = loader_step_inputs(46)
+        grad_y = multi_dim_se_forward(x, p_freq, p_chan)
+        grad_x = multi_dim_se_backward(x, p_freq, p_chan, grad_y)[0]
+        assert not np.shares_memory(grad_x, grad_y)
+        for which, p in (("freq", p_freq), ("channel", p_chan)):
+            grad_x = se_backward(x, p, grad_y, which)[0]
+            assert not np.shares_memory(grad_x, grad_y)
+        # a grad_y only the call refers to is not handed out mid-call
+        want = multi_dim_se_backward(x, p_freq, p_chan, grad_y.copy())
+        del grad_x, grad_y
+        got = multi_dim_se_backward(x, p_freq, p_chan,
+                                    multi_dim_se_forward(x, p_freq, p_chan))
+        for a, b in zip([got[0], *got[1].as_arrays(), *got[2].as_arrays()],
+                        [want[0], *want[1].as_arrays(), *want[2].as_arrays()]):
+            assert_array_equal(a, b)
 
 
 class TestInputsUntouched:
