@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset_io import N_CLASSES, Events, _first_of_runs, normalize_azimuth
+from .dataset_io import N_CLASSES, Events, _first_of_runs, _row_order, normalize_azimuth
 from .errors import (
     ClassOutOfRange,
     ElevationOutOfRange,
@@ -32,17 +32,21 @@ def doa_to_unit_vector(doas) -> np.ndarray:
     """Map (N, 2) (azimuth, elevation) pairs in degrees to an (N, 3) array
     of unit vectors (x, y, z).
 
-    x points to azimuth 0, y to azimuth +90, z to elevation +90. An
-    elevation outside [-90, 90] raises ElevationOutOfRange naming the
-    first one.
+    x points to azimuth 0, y to azimuth +90, z to elevation +90. The first
+    row with an elevation outside [-90, 90] or an azimuth that is not
+    finite raises ElevationOutOfRange or a SeldkitError naming it.
     """
     doas = np.asarray(doas, dtype=np.float64)
     if doas.ndim != 2 or doas.shape[1] != 2:
         raise ShapeMismatch(f"expected (N, 2) directions, got shape {doas.shape}")
     inside = (doas[:, 1] >= -90.0) & (doas[:, 1] <= 90.0)
-    if not inside.all():
-        elevation = doas[~inside, 1][0]
-        raise ElevationOutOfRange(f"elevation {elevation} outside [-90, 90]")
+    bad = ~(inside & np.isfinite(doas[:, 0]))
+    if bad.any():
+        row = int(np.argmax(bad))
+        azimuth, elevation = doas[row]
+        if not inside[row]:
+            raise ElevationOutOfRange(f"elevation {elevation} outside [-90, 90]")
+        raise SeldkitError(f"azimuth {azimuth} is not finite")
     az = np.deg2rad(doas[:, 0])
     el = np.deg2rad(doas[:, 1])
     cos_el = np.cos(el)
@@ -94,13 +98,14 @@ def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
                            f"got {n_frames} and {n_classes}")
     tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
     ev = Events.of(events)
-    order = np.lexsort((ev.class_id, ev.frame))  # stable: a cell's rows in input order
+    order = _row_order(ev.frame, ev.class_id)  # stable: a cell's rows in input order
     repeat = np.empty(len(ev), dtype=bool)
     repeat[order] = ~_first_of_runs(ev.frame[order], ev.class_id[order])
     bad = ((ev.frame < 0) | (ev.frame >= n_frames) | (ev.class_id < 0)
            | (ev.class_id >= n_classes) | repeat)
     end = int(np.argmax(bad)) if bad.any() else len(ev)
-    # an elevation outside [-90, 90] before the first bad row is named first
+    # a bad direction (elevation outside [-90, 90], azimuth not finite) before
+    # the first bad row is named first
     vectors = doa_to_unit_vector(np.stack([ev.azimuth, ev.elevation], axis=-1)[:end])
     if end < len(ev):
         f, c = int(ev.frame[end]), int(ev.class_id[end])
@@ -124,6 +129,12 @@ def decode(tensor, threshold: float = 0.5) -> Events:
     first such cell in (frame, class) order, rather than decoded as silence
     or as a nan direction. Returned events are sorted by (frame, class).
     """
+    return _decode(tensor, threshold)[0]
+
+
+def _decode(tensor, threshold: float) -> tuple:
+    """decode's Events and the norm of each event's vector, the value it
+    compared with the threshold."""
     if not 0.0 < threshold < np.inf:
         raise SeldkitError(f"threshold must be positive and finite, got {threshold}")
     if threshold < _EPS_NORM:
@@ -144,7 +155,8 @@ def decode(tensor, threshold: float = 0.5) -> Events:
             "non-finite norm"
         )
     frames, classes = np.nonzero(norms > threshold)
-    return Events(frames, classes, *unit_vector_to_doa(arr[:, classes, frames].T))
+    events = Events(frames, classes, *unit_vector_to_doa(arr[:, classes, frames].T))
+    return events, norms[frames, classes]
 
 
 def ensemble_average(tensors) -> np.ndarray:

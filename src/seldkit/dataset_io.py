@@ -307,17 +307,67 @@ def write_label_csv(events, path) -> None:
         raise SeldkitError("refusing to write a non-finite direction")
     az = normalize_azimuth(np.rint(events.azimuth)).astype(np.int64)
     el = np.clip(np.rint(events.elevation), -90, 89).astype(np.int64)
-    rows = zip(events.frame.tolist(), events.class_id.tolist(), az.tolist(), el.tolist())
-    blob = "".join(f"{f},{c},0,{a},{e}\n" for f, c, a, e in rows)
+    rows = np.stack((events.frame, events.class_id, az, el), axis=-1)
+    blob = "%d,%d,0,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
     _atomic_write_bytes(path, blob.encode("utf-8"))
 
 
-def _sorted_unique(*columns) -> tuple:
-    """The rows sorted by the first column, then the next, repeats dropped."""
-    order = np.lexsort(columns[::-1])
+def _sorted_unique(*columns, peak=None) -> tuple:
+    """The rows sorted by the first column, then the next, repeats dropped.
+
+    Given peak, one value per row, the largest peak among each kept row's
+    repeats follows the columns.
+    """
+    order = _row_order(*columns)
     columns = [col[order] for col in columns]
     first = _first_of_runs(*columns)
-    return tuple(col[first] for col in columns)
+    unique = tuple(col[first] for col in columns)
+    if peak is None:
+        return unique
+    return unique + (np.maximum.reduceat(peak[order], np.flatnonzero(first)),)
+
+
+def _row_order(*columns) -> np.ndarray:
+    """The permutation that sorts the rows by the first column, then the
+    next, ties in input order: np.lexsort's, with the columns reversed.
+
+    Rows of whole numbers (label files, segments and classes) pack into one
+    int64 key that orders them as the columns do, -0.0 equal to 0.0, and a
+    stable argsort of that key is lexsort's permutation in one pass instead
+    of one per column. Decoded directions, nan, inf and spans the key
+    cannot hold go to np.lexsort.
+    """
+    key = _packed_key(columns)
+    if key is None:
+        return np.lexsort(columns[::-1])
+    return np.argsort(key, kind="stable")
+
+
+def _packed_key(columns):
+    """One int64 per row, ((c0 - min0) * span1 + (c1 - min1)) * span2 + ...,
+    or None unless every column holds whole numbers the key packs exactly:
+    int64, or integral float64 spanning under 2^53, with the product of
+    the spans at most 2^63."""
+    if not len(columns[0]):
+        return None
+    key, room = None, 2 ** 63
+    for col in columns:
+        low, high = col.min(), col.max()
+        if col.dtype == np.int64:
+            span = int(high) - int(low) + 1
+            offset = col - low  # wraps to the exact offset, which is below span
+        # as Python floats, nan and inf fail the span test without a warning
+        elif (col.dtype == np.float64 and float(high) - float(low) < 2 ** 53
+              and (np.rint(col) == col).all()):
+            span = int(high - low) + 1
+            offset = (col - low).astype(np.int64)  # whole numbers: exact
+        else:
+            return None
+        room //= span
+        if not room:
+            return None
+        key = offset if key is None else key * span + offset
+    return key
 
 
 def _first_of_runs(*columns) -> np.ndarray:

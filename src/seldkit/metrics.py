@@ -16,7 +16,12 @@ rather than location-dependent.
 The public functions take events as a dataset_io.Events, the columns that
 read_label_csv and decode return, or as any iterable of Event. All cells
 of a call are grouped by one sort, their cost entries come from one
-stacked matmul, and the tallies from bincount.
+stacked matmul, and the tallies from bincount. Rows of whole numbers
+(label files, segments and classes) are sorted on one packed int64 key,
+and rows holding decoded directions by np.lexsort. A threshold sweep
+decodes, sorts and builds the cost entries once, at 0.3, and scores 0.5
+and 0.7 as subsets of that table: a higher threshold keeps a subset of
+the 0.3 events, with the same directions.
 The float sums run in a fixed order: each class's angle sum adds its
 matched angles cell by cell in segment order (pred row order within a
 cell), and macro means and micro sums take the classes in ascending id.
@@ -30,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accdoa import _row_norms, decode, doa_to_unit_vector
-from .dataset_io import Events, _first_of_runs, _sorted_unique
+from .accdoa import _decode, _row_norms, doa_to_unit_vector
+from .dataset_io import Events, _first_of_runs, _row_order, _sorted_unique
 from .errors import SeldkitError
 
 SEGMENT_LABEL_FRAMES = 10
@@ -94,23 +99,22 @@ def segment_events(events) -> dict:
     return cells
 
 
-def _segment_columns(events: Events) -> tuple:
+def _segment_columns(events: Events, activity=None) -> tuple:
     """(segment, class_id, azimuth, elevation) of the distinct DoAs of each
-    (segment, class) cell, sorted by segment, class, azimuth, elevation."""
+    (segment, class) cell, sorted by segment, class, azimuth, elevation;
+    given activity, one value per event, each DoA's largest follows."""
     return _sorted_unique(events.frame // SEGMENT_LABEL_FRAMES, events.class_id,
-                          events.azimuth, events.elevation)
+                          events.azimuth, events.elevation, peak=activity)
 
 
-def _match_cells(pred, ref) -> tuple:
-    """Minimum-total-angle assignments of many cells at once.
+def _cost_entries(pred, ref) -> tuple:
+    """Every cost entry of many cells at once.
 
     pred and ref are (unit vectors, their norms, DoAs per cell) over the
-    same cells; each side's vectors run cell by cell. Every cost entry of
-    every cell comes out of one stacked matmul. A 1 x R or P x 1 cell takes
-    its first minimum, the pair linear_sum_assignment picks there too;
-    larger cells are solved by linear_sum_assignment one at a time.
-    Returns (cell, pred row in cell, ref row in cell, angle) arrays of the
-    pairs, by cell and then pred row.
+    same cells; each side's vectors run cell by cell. Returns (cell, pred
+    row, ref row, angle) arrays with one entry per pair of a cell's pred
+    and ref rows, by cell, then pred row, then ref row. The angles come
+    out of one stacked matmul.
     """
     (p_vecs, p_norms, n_p), (r_vecs, r_norms, n_r) = pred, ref
     size = n_p * n_r
@@ -119,11 +123,21 @@ def _match_cells(pred, ref) -> tuple:
     i, j = np.divmod(np.arange(len(entry_cell)) - first[entry_cell], n_r[entry_cell])
     pi = i + (np.cumsum(n_p) - n_p)[entry_cell]
     ri = j + (np.cumsum(n_r) - n_r)[entry_cell]
-    cost = _angles(np.take(p_vecs, pi, axis=0), p_norms[pi],
-                   np.take(r_vecs, ri, axis=0), r_norms[ri])
-    if not np.isfinite(cost).all():  # a nan would mispair the line cells
-        raise ValueError("matrix contains invalid numeric entries")
+    return entry_cell, pi, ri, _angles(np.take(p_vecs, pi, axis=0), p_norms[pi],
+                                       np.take(r_vecs, ri, axis=0), r_norms[ri])
 
+
+def _assign(cost, n_p, n_r) -> np.ndarray:
+    """Minimum-total-angle assignments of many cells at once.
+
+    cost holds each cell's n_p x n_r angles in row-major order, cell after
+    cell, as _cost_entries lays them out. A 1 x R or P x 1 cell takes its
+    first minimum, the pair linear_sum_assignment picks there too; larger
+    cells are solved by linear_sum_assignment one at a time. Returns the
+    positions in cost of the pairs, ascending: by cell, then pred row.
+    """
+    size = n_p * n_r
+    first = np.cumsum(size) - size
     solved = size > 0
     low = np.repeat(np.minimum.reduceat(cost, first[solved]), size[solved])
     at_low = np.flatnonzero(cost == low)
@@ -142,8 +156,7 @@ def _match_cells(pred, ref) -> tuple:
         n_pairs = np.minimum(n_rows, n_cols)
         picks.append(np.repeat(starts, n_pairs) + np.concatenate(rows)
                      * np.repeat(n_cols, n_pairs) + np.concatenate(cols))
-    pos = np.sort(np.concatenate(picks))
-    return entry_cell[pos], i[pos], j[pos], cost[pos]
+    return np.sort(np.concatenate(picks))
 
 
 def compute_seld_scores(preds, refs, average: str = "macro") -> SeldScores:
@@ -154,73 +167,101 @@ def compute_seld_scores(preds, refs, average: str = "macro") -> SeldScores:
     er_undefined set. When both sides are empty every score is perfect by
     convention (0, 100, 0, 100).
     """
-    return _reference_scorer(Events.of(refs), average)(Events.of(preds))
+    ref = _reference_cells(Events.of(refs), average)
+    pred = _cell_vectors(Events.of(preds))
+    return _score(_entry_table(pred, ref), np.ones(len(pred[2]), dtype=bool), average)
 
 
 def threshold_sweep(accdoa_pred, refs, average: str = "macro") -> list:
     """Decode a prediction tensor at each of the thresholds 0.3, 0.5 and
     0.7 and score it.
 
-    The references are segmented and converted to unit vectors once for
-    all thresholds. Returns [(threshold, SeldScores)] in that order.
+    Returns [(threshold, SeldScores)] in that order, each equal to
+    compute_seld_scores(decode(accdoa_pred, threshold), refs, average).
+    The tensor is decoded, sorted and converted once, at 0.3: a higher
+    threshold keeps a subset of those events, with the same directions.
+    Each distinct (segment, class, DoA) row keeps the largest norm among
+    its events, and a threshold scores the rows whose norm exceeds it
+    through the cost entries of the one 0.3 table.
     """
-    score = _reference_scorer(Events.of(refs), average)
-    return [(thr, score(decode(accdoa_pred, thr))) for thr in _SWEEP_THRESHOLDS]
+    ref = _reference_cells(Events.of(refs), average)
+    preds, norms = _decode(accdoa_pred, _SWEEP_THRESHOLDS[0])
+    *pred, activity = _cell_vectors(preds, norms)
+    table = _entry_table(pred, ref)
+    return [(thr, _score(table, activity > thr, average)) for thr in _SWEEP_THRESHOLDS]
 
 
-def _reference_scorer(refs, average: str):
-    """Segment and convert the reference Events once; return a function
-    from prediction Events to SeldScores."""
+def _reference_cells(refs, average: str) -> tuple:
+    """Check the averaging rule, then the references' _cell_vectors."""
     if average not in ("macro", "micro"):
         raise SeldkitError(f"average must be 'macro' or 'micro', got {average!r}")
-    ref_segment, ref_class, ref_vecs = _cell_vectors(refs)
-    ref_norms = _row_norms(ref_vecs)
+    return _cell_vectors(refs)
 
-    def score(preds) -> SeldScores:
-        pred_segment, pred_class, pred_vecs = _cell_vectors(preds)
-        cell_segment, cell_class, n_p, n_r = _cells_of_both(
-            (pred_segment, pred_class), (ref_segment, ref_class))
-        pair_cell, _, _, angle = _match_cells(
-            (pred_vecs, _row_norms(pred_vecs), n_p), (ref_vecs, ref_norms, n_r))
 
-        tp = np.bincount(pair_cell[angle < SPATIAL_THRESHOLD_DEG],
-                         minlength=len(cell_segment))
-        fp, fn = n_p - tp, n_r - tp
-        # per segment, S = min(fp, fn) substitutions, fn - S deletions and
-        # fp - S insertions add up to max(fp, fn) errors
-        seg_starts = np.flatnonzero(_first_of_runs(cell_segment))
-        errors = int(np.maximum(np.add.reduceat(fp, seg_starts),
-                                np.add.reduceat(fn, seg_starts)).sum())
-        class_ids, cell_k = np.unique(cell_class, return_inverse=True)
+def _entry_table(pred, ref) -> tuple:
+    """The cells and cost entries of prediction and reference
+    (segment, class_id, unit vectors) rows: ((segment, class_id, pred DoAs,
+    ref DoAs) per cell, (cell, pred row, angle) per entry, reference
+    count)."""
+    (pred_segment, pred_class, pred_vecs), (ref_segment, ref_class, ref_vecs) = pred, ref
+    cells = _cells_of_both((pred_segment, pred_class), (ref_segment, ref_class))
+    n_p, n_r = cells[2:]
+    entry_cell, entry_pred, _, cost = _cost_entries(
+        (pred_vecs, _row_norms(pred_vecs), n_p), (ref_vecs, _row_norms(ref_vecs), n_r))
+    return cells, (entry_cell, entry_pred, cost), len(ref_vecs)
 
-        def by_class(values):
-            return np.bincount(cell_k, values, len(class_ids)).astype(np.int64).tolist()
 
-        # bincount adds in array order: each class's angles by segment, and
-        # within a cell by pred row
-        per_class = {
-            class_id: ClassCounts(*counts) for class_id, *counts in zip(
-                class_ids.tolist(), by_class(tp), by_class(fp), by_class(fn),
-                by_class(np.minimum(n_p, n_r)), by_class(n_r),
-                np.bincount(cell_k[pair_cell], angle, len(class_ids))
-                .astype(np.float64).tolist())
-        }
-        classes = per_class.values()
-        total_refs = len(ref_vecs)
-        er_undefined = total_refs == 0
-        er = 0.0 if er_undefined else errors / total_refs
-        f1 = _average([2 * c.tp for c in classes],
-                      [2 * c.tp + c.fp + c.fn for c in classes],
-                      average, 100.0, empty=100.0)
-        le = _average([c.angle_sum for c in classes],
-                      [c.n_matched for c in classes],
-                      average, 1.0, empty=180.0 if per_class else 0.0)
-        lr = _average([c.n_matched for c in classes],
-                      [c.n_refs for c in classes],
-                      average, 100.0, empty=100.0)
-        return SeldScores(er, f1, le, lr, er_undefined, per_class)
+def _score(table, keep, average: str) -> SeldScores:
+    """SeldScores of the prediction rows keep marks against every
+    reference, from an _entry_table.
 
-    return score
+    Cells left with neither kind of row drop out, so the result equals
+    scoring those prediction rows on their own.
+    """
+    cells, (entry_cell, entry_pred, cost), total_refs = table
+    n_p, n_r = cells[2:]
+    n_p = np.bincount(np.repeat(np.arange(len(n_p)), n_p)[keep], minlength=len(n_p))
+    live = (n_p > 0) | (n_r > 0)
+    cell_segment, cell_class, n_p, n_r = (a[live] for a in (*cells[:2], n_p, n_r))
+    kept = keep[entry_pred]
+    cost = cost[kept]
+    pos = _assign(cost, n_p, n_r)
+    pair_cell, angle = (np.cumsum(live) - 1)[entry_cell[kept][pos]], cost[pos]
+
+    tp = np.bincount(pair_cell[angle < SPATIAL_THRESHOLD_DEG], minlength=len(cell_segment))
+    fp, fn = n_p - tp, n_r - tp
+    # per segment, S = min(fp, fn) substitutions, fn - S deletions and
+    # fp - S insertions add up to max(fp, fn) errors
+    seg_starts = np.flatnonzero(_first_of_runs(cell_segment))
+    errors = int(np.maximum(np.add.reduceat(fp, seg_starts),
+                            np.add.reduceat(fn, seg_starts)).sum())
+    class_ids, cell_k = np.unique(cell_class, return_inverse=True)
+
+    def by_class(values):
+        return np.bincount(cell_k, values, len(class_ids)).astype(np.int64).tolist()
+
+    # bincount adds in array order: each class's angles by segment, and
+    # within a cell by pred row
+    per_class = {
+        class_id: ClassCounts(*counts) for class_id, *counts in zip(
+            class_ids.tolist(), by_class(tp), by_class(fp), by_class(fn),
+            by_class(np.minimum(n_p, n_r)), by_class(n_r),
+            np.bincount(cell_k[pair_cell], angle, len(class_ids))
+            .astype(np.float64).tolist())
+    }
+    classes = per_class.values()
+    er_undefined = total_refs == 0
+    er = 0.0 if er_undefined else errors / total_refs
+    f1 = _average([2 * c.tp for c in classes],
+                  [2 * c.tp + c.fp + c.fn for c in classes],
+                  average, 100.0, empty=100.0)
+    le = _average([c.angle_sum for c in classes],
+                  [c.n_matched for c in classes],
+                  average, 1.0, empty=180.0 if per_class else 0.0)
+    lr = _average([c.n_matched for c in classes],
+                  [c.n_refs for c in classes],
+                  average, 100.0, empty=100.0)
+    return SeldScores(er, f1, le, lr, er_undefined, per_class)
 
 
 def _cells_of_both(pred, ref) -> tuple:
@@ -229,7 +270,7 @@ def _cells_of_both(pred, ref) -> tuple:
     DoAs) per cell. Each side's rows must run cell by cell in this order,
     as _segment_columns leaves them, for the counts to index its rows."""
     segment, class_id = (np.concatenate(cols) for cols in zip(pred, ref))
-    order = np.lexsort((class_id, segment))
+    order = _row_order(segment, class_id)
     starts = _first_of_runs(segment[order], class_id[order])
     cell_of = np.empty(len(order), dtype=np.intp)
     cell_of[order] = np.cumsum(starts) - 1
@@ -240,15 +281,17 @@ def _cells_of_both(pred, ref) -> tuple:
             np.bincount(cell_of[n_pred:], minlength=n_cells))
 
 
-def _cell_vectors(events: Events) -> tuple:
+def _cell_vectors(events: Events, activity=None) -> tuple:
     """(segment, class_id, unit vectors) of each cell's distinct DoAs, as
-    sorted by _segment_columns.
+    sorted by _segment_columns; given activity, one value per event, the
+    largest activity among each DoA's events follows.
 
     All DoAs of the call are converted at once, so an elevation outside
-    [-90, 90] anywhere among the events is rejected.
+    [-90, 90] or a non-finite azimuth anywhere among the events is
+    rejected.
     """
-    segment, class_id, az, el = _segment_columns(events)
-    return segment, class_id, doa_to_unit_vector(np.stack((az, el), axis=-1))
+    segment, class_id, az, el, *peak = _segment_columns(events, activity)
+    return (segment, class_id, doa_to_unit_vector(np.stack((az, el), axis=-1)), *peak)
 
 
 def format_scores_line(scores: SeldScores) -> str:

@@ -8,6 +8,7 @@ import helpers
 import oracles
 from seldkit import (
     Event,
+    Events,
     decode,
     doa_to_unit_vector,
     encode,
@@ -53,6 +54,19 @@ class TestDoaToUnitVector:
             doa_to_unit_vector([(0.0, 0.0), (0.0, 90.5), (0.0, -91.0)])
         with pytest.raises(ElevationOutOfRange, match="elevation -91.0 outside"):
             doa_to_unit_vector([(0.0, -91.0)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_azimuth(self, bad):
+        with pytest.raises(SeldkitError, match=f"azimuth {bad} is not finite"):
+            doa_to_unit_vector([(0.0, 0.0), (bad, 0.0), (0.0, 95.0)])
+        # the first bad row is named, whichever way it is bad
+        with pytest.raises(ElevationOutOfRange, match="elevation 95.0 outside"):
+            doa_to_unit_vector([(0.0, 95.0), (bad, 0.0)])
+        with pytest.raises(SeldkitError, match=f"azimuth {bad} is not finite"):
+            encode(Events([0], [0], [bad], [0.0]), 2)
+        with pytest.raises(SeldkitError, match=f"azimuth {bad} is not finite"):
+            encode(Events([0, 1], [0, 0], [bad, 0.0], [0.0, 0.0]), 1)
 
     def test_bad_shape(self):
         for doas in ([0.0, 0.0], [(0.0, 0.0, 0.0)], np.zeros((2, 2, 2))):

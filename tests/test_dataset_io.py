@@ -464,6 +464,82 @@ class TestReadLabelCsv:
         assert [e.elevation for e in events] == [-90.0, 89.0]
 
 
+def _row_order_cases():
+    """(id, columns, whether they pack into one int64 key)."""
+    rng = np.random.default_rng(12)
+    n = 500
+    frames = rng.integers(0, 60, n)
+    classes = rng.integers(0, 13, n)
+    whole_az = rng.integers(-180, 180, n).astype(np.float64)
+    whole_az[rng.random(n) < 0.2] = -0.0
+    whole_az[rng.random(n) < 0.2] = 0.0
+    whole_el = rng.integers(-90, 90, n).astype(np.float64)
+    big = np.int64(2 ** 62)
+    i64 = np.iinfo(np.int64)
+
+    def f(*values):
+        return np.array(values, dtype=np.float64)
+
+    def i(*values):
+        return np.array(values, dtype=np.int64)
+
+    label_rows = (frames, classes, whole_az, whole_el)
+    return [
+        ("label_rows", label_rows, True),
+        ("presorted", tuple(c[np.lexsort(label_rows[::-1])] for c in label_rows), True),
+        ("reversed", tuple(c[np.lexsort(label_rows[::-1])[::-1]] for c in label_rows), True),
+        ("segments_and_classes", (frames // 10, classes), True),
+        ("decoded_directions", (frames, classes, rng.uniform(-180, 180, n),
+                                rng.uniform(-90, 90, n)), False),
+        ("one_half_degree", (frames, classes, np.where(frames == 3, 0.5, whole_az)), False),
+        ("signed_zeros_only", (f(0.0, -0.0, 0.0, -0.0), i(1, 1, 0, 0)), True),
+        ("nan", (i(0, 0, 0, 1), f(1.0, np.nan, 0.0, 1.0)), False),
+        ("inf", (i(0, 0, 0, 1), f(1.0, np.inf, 0.0, -np.inf)), False),
+        ("inf_only", (f(np.inf, np.inf),), False),
+        ("int64_extremes", (i(i64.max, i64.min, 0, i64.min, i64.max),), False),
+        ("int32_and_float32", (np.array([2 ** 31 - 1, -2 ** 31, 0, -2 ** 31], np.int32),
+                               np.array([1, 0, 2 ** 24 + 2, 0], np.float32)), False),
+        ("int64_top_span", (i(i64.max, 0, 1, i64.max - 1, 0),), True),
+        ("int64_bottom_span", (i(i64.min, -1, i64.min + 5, i64.min),), True),
+        ("float_span_under_2pow53", (f(0, 2 ** 53 - 1, 7, 2 ** 53 - 2, 7),), True),
+        ("float_span_2pow53", (f(0, 2 ** 53, 7, 2 ** 53 - 2),), False),
+        ("large_whole_floats", (f(2.0 ** 60, 2.0 ** 60 + 512, 2.0 ** 60, 2.0 ** 60 + 256),), True),
+        ("spans_product_2pow63", (i(0, 2 ** 32 - 1, 5, 0), i(2 ** 31 - 1, 0, 3, 2 ** 31 - 1)),
+         True),
+        ("spans_product_over_2pow63", (i(0, 2 ** 32 - 1, 5, 0), i(2 ** 31, 0, 3, 2 ** 31)),
+         False),
+        ("three_wide_columns", (i(big, 0), i(0, 1), i(1, 0)), False),
+        ("one_row", (i(5), f(-0.0)), True),
+        ("empty", (i(), f()), False),
+    ]
+
+
+class TestRowOrder:
+    """_row_order is np.lexsort's permutation, packed key or not."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("columns, packs",
+                             [case[1:] for case in _row_order_cases()],
+                             ids=[case[0] for case in _row_order_cases()])
+    def test_equals_lexsort(self, columns, packs):
+        assert (dataset_io._packed_key(columns) is not None) == packs
+        got = dataset_io._row_order(*columns)
+        assert got.dtype == np.intp
+        assert_array_equal(got, np.lexsort(columns[::-1]))
+
+    def test_seeded_columns(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            columns = []
+            for _ in range(int(rng.integers(1, 5))):
+                low = int(rng.integers(-2 ** 40, 2 ** 40))
+                column = rng.integers(low, low + int(rng.integers(1, 6)), n)
+                columns.append(column.astype(np.float64) if rng.random() < 0.5 else column)
+            assert_array_equal(dataset_io._row_order(*columns),
+                               np.lexsort(columns[::-1]))
+
+
 class TestWriteLabelCsv:
     def test_integer_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -525,6 +601,29 @@ class TestWriteLabelCsv:
         assert list(read_label_csv(path, n_classes=41)) == events
         with pytest.raises(ClassOutOfRange):
             read_label_csv(path)
+
+    def test_bytes_match_one_f_string_per_row(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 400
+        events = Events(
+            np.concatenate([rng.integers(0, 2 ** 63, n // 2), rng.integers(0, 50, n // 2)]),
+            rng.integers(0, 40, n),
+            np.concatenate([rng.uniform(-540.0, 540.0, n - 8),
+                            [-0.0, 0.0, -0.4, 179.5, 179.6, -180.4, -179.5, 540.0]]),
+            np.concatenate([rng.uniform(-95.0, 95.0, n - 8),
+                            [-0.0, -0.4, 0.0, 89.5, -90.5, 89.4, -89.6, 0.5]]))
+        assert (events.frame > 2 ** 53).any() and (events.azimuth < 0).any()
+        az = normalize_azimuth(np.rint(events.azimuth)).astype(np.int64)
+        el = np.clip(np.rint(events.elevation), -90, 89).astype(np.int64)
+        assert -180 in az.tolist()
+        want = "".join(
+            f"{f},{c},0,{a},{e}\n" for f, c, a, e in zip(
+                events.frame.tolist(), events.class_id.tolist(), az.tolist(), el.tolist()))
+        path = tmp_path / "out.csv"
+        write_label_csv(events, path)
+        assert path.read_bytes() == want.encode("utf-8")
+        write_label_csv([], path)
+        assert path.read_bytes() == b""
 
     @pytest.mark.parametrize("az, el", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
     def test_non_finite_direction_refused(self, tmp_path, az, el):

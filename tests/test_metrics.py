@@ -25,7 +25,8 @@ from seldkit.errors import ElevationOutOfRange, SeldkitError
 from seldkit.metrics import (
     SeldScores,
     _angles,
-    _match_cells,
+    _assign,
+    _cost_entries,
     format_scores_line,
     format_sweep_table,
     scores_to_csv,
@@ -45,14 +46,24 @@ def deduped(events):
     return out
 
 
+def match_cells(pred, ref):
+    """(cell, pred row in cell, ref row in cell, angle) arrays of the pairs
+    the scorer forms in cells of (unit vectors, norms, DoAs per cell)."""
+    cell, pi, ri, cost = _cost_entries(pred, ref)
+    pos = _assign(cost, pred[2], ref[2])
+    cell = cell[pos]
+    return (cell, pi[pos] - (np.cumsum(pred[2]) - pred[2])[cell],
+            ri[pos] - (np.cumsum(ref[2]) - ref[2])[cell], cost[pos])
+
+
 def match_one_cell(preds, refs):
-    """[(pred row, ref row, angle)] of the pairs _match_cells forms in one
+    """[(pred row, ref row, angle)] of the pairs the scorer forms in one
     cell of (azimuth, elevation) DoA lists."""
     def side(doas):
         vecs = doa_to_unit_vector(np.reshape(doas, (-1, 2)))
         return vecs, _row_norms(vecs), np.array([len(vecs)])
 
-    _, i, j, angle = _match_cells(side(preds), side(refs))
+    _, i, j, angle = match_cells(side(preds), side(refs))
     return list(zip(i.tolist(), j.tolist(), angle.tolist()))
 
 
@@ -393,7 +404,7 @@ class TestArrayCostMatchesScalar:
                                                  (-1, 2)))
             return vecs, _row_norms(vecs), np.array([len(c[k]) for c in cells])
 
-        cell, i, j, angle = _match_cells(side(0), side(1))
+        cell, i, j, angle = match_cells(side(0), side(1))
         got = list(zip(cell.tolist(), i.tolist(), j.tolist(), angle.tolist()))
         want = [(c, *pair) for c, (preds, refs) in enumerate(cells)
                 for pair in match_one_cell(preds, refs)]
@@ -543,16 +554,21 @@ class TestBoundariesAndTies:
             compute_seld_scores([Event(0, 0, 0.0, 91.0)],
                                 [Event(0, 0, 0.0, 0.0)])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_azimuth_in_a_matched_cell(self):
-        # a 1 x R cell with a nan cost ahead of a cell that matches cleanly
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="invalid numeric entries"):
+        # a 1 x R cell with a bad DoA ahead of a cell that matches cleanly;
+        # it is named as an input error before any angle is taken
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            message = f"azimuth {bad} is not finite"
+            with pytest.raises(SeldkitError, match=message):
                 compute_seld_scores(
                     [Event(0, 0, bad, 0.0), Event(0, 1, 5.0, 0.0)],
                     [Event(0, 0, 0.0, 0.0), Event(1, 0, 9.0, 0.0),
                      Event(0, 1, 0.0, 0.0)])
-            with pytest.raises(ValueError, match="invalid numeric entries"):
+            with pytest.raises(SeldkitError, match=message):
+                threshold_sweep(encode([Event(0, 0, 0.0, 0.0)], 1),
+                                [Event(0, 0, bad, 0.0), Event(0, 0, 9.0, 0.0)])
+            with pytest.raises(SeldkitError, match=message):
                 match_one_cell([(bad, 0.0)], [(0.0, 0.0), (9.0, 0.0)])
 
     def test_elevation_out_of_range_in_an_unmatched_cell(self):
@@ -592,16 +608,55 @@ class TestThresholdSweep:
         assert recalls[0] >= recalls[1] - 1e-12
         assert recalls[1] >= recalls[2] - 1e-12
 
-    def test_matches_scoring_each_threshold(self):
+    @staticmethod
+    def sweep_case(name):
+        """(prediction tensor, references) of one named sweep input."""
         rng = np.random.default_rng(34)
         refs = helpers.random_events(rng, n_frames=40, max_events=30)
-        tensor = encode(refs, 40) * 0.6 + rng.uniform(-0.3, 0.3, (3, 13, 40))
-        for average in ("macro", "micro"):
-            rows = threshold_sweep(tensor, refs, average=average)
-            assert rows == [
-                (thr, compute_seld_scores(decode(tensor, thr), refs, average=average))
-                for thr in (0.3, 0.5, 0.7)
-            ]
+        tensor = encode(refs, 40)
+        if name == "seeded":
+            return tensor * 0.6 + rng.uniform(-0.3, 0.3, (3, 13, 40)), refs
+        if name == "none_above_0.3":
+            return tensor * 0.25 + rng.uniform(-0.02, 0.02, (3, 13, 40)), refs
+        if name == "all_emptied_at_0.7":
+            # references at 0.6, and prediction-only cells at 0.45
+            others = encode(helpers.random_events(rng, n_frames=40, max_events=30), 40)
+            on_ref = np.linalg.norm(tensor, axis=0) > 0
+            return np.where(on_ref, 0.6 * tensor, 0.45 * others), refs
+        v = doa_to_unit_vector([(37.0, 12.0)])[0]
+        tensor = np.zeros((3, 13, 40))
+        if name == "one_doa_two_activities":
+            # one direction twice in a segment, scaled by 2 so both decode
+            # to the same DoA, the stronger row first in segment 1; a
+            # reference sits in segment 0 only
+            for frame, cls, activity in ((2, 4, 0.4), (5, 4, 0.8), (12, 4, 0.8),
+                                         (15, 4, 0.4), (21, 4, 0.4), (22, 4, 0.6)):
+                tensor[:, cls, frame] = activity * v
+            return tensor, [Event(3, 4, 37.0, 12.0), Event(30, 4, 0.0, 0.0)]
+        assert name == "norms_on_thresholds"
+        for frame, vec in enumerate(([0.3, 0, 0], [0, 0.5, 0], [0, 0, 0.7],
+                                     [0, 0, -0.7 - 1e-12], 0.5 * v)):
+            tensor[:, frame % 2, 8 * frame + 1] = vec
+        assert {0.3, 0.5, 0.7} <= set(np.linalg.norm(tensor, axis=0).ravel().tolist())
+        return tensor, [Event(1, 0, 0.0, 0.0), Event(9, 1, 90.0, 0.0),
+                        Event(17, 0, 0.0, 90.0), Event(33, 0, 37.0, 12.0)]
+
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    @pytest.mark.parametrize("case", ["seeded", "none_above_0.3",
+                                      "all_emptied_at_0.7",
+                                      "one_doa_two_activities",
+                                      "norms_on_thresholds"])
+    def test_matches_scoring_each_threshold(self, case, average):
+        tensor, refs = self.sweep_case(case)
+        rows = threshold_sweep(tensor, refs, average=average)
+        want = [(thr, compute_seld_scores(decode(tensor, thr), refs, average=average))
+                for thr in (0.3, 0.5, 0.7)]
+        assert rows == want
+        decoded = [len(decode(tensor, thr)) for thr in (0.3, 0.5, 0.7)]
+        if case == "none_above_0.3":
+            assert decoded == [0, 0, 0]
+        if case == "all_emptied_at_0.7":
+            assert decoded[1] > 0 and decoded[2] == 0
 
 
 class TestFormatting:
