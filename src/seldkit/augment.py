@@ -140,9 +140,7 @@ def pitch_shift(features, shift_bins: int, max_shift: int = 10) -> np.ndarray:
     feats = np.asarray(features)
     if feats.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T) features, got {feats.shape}")
-    shift = int(shift_bins)
-    if shift != shift_bins:
-        raise SeldkitError(f"shift must be an integer bin count, got {shift_bins}")
+    shift = _integer(shift_bins, "shift")
     if abs(shift) > max_shift:
         raise ShiftOutOfRange(f"|{shift}| exceeds the allowed range {max_shift}")
     n_bins = feats.shape[1]
@@ -159,7 +157,7 @@ def frame_shift(features, labels, offset: int) -> tuple:
     feats = np.asarray(features)
     labs = np.asarray(labels)
     _check_time_alignment(feats, labs)
-    offset = int(offset)
+    offset = _integer(offset, "offset")
     if offset % FRAMES_PER_LABEL != 0:
         raise NonAlignedOffset(
             f"offset {offset} is not a multiple of {FRAMES_PER_LABEL}"
@@ -181,8 +179,8 @@ def time_mask(features, labels, start_frame: int, mask_len: int,
     feats = np.asarray(features)
     labs = np.asarray(labels)
     _check_time_alignment(feats, labs)
-    start = int(start_frame)
-    length = int(mask_len)
+    start = _integer(start_frame, "start_frame")
+    length = _integer(mask_len, "mask_len")
     n_frames = feats.shape[2]
     if n_frames == 0:
         raise TooShort("no frames to mask: the mask ratio is undefined")
@@ -240,14 +238,15 @@ def sample_lambda(rng, alpha: float = 0.2) -> float:
     With alpha < 1 the mass piles up near 0 and 1, so one sample almost
     always dominates the mix.
     """
-    if alpha <= 0:
-        raise SeldkitError(f"beta shape parameter must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise SeldkitError(f"beta shape parameter must be positive and finite, "
+                           f"got {alpha}")
     return float(rng.beta(alpha, alpha))
 
 
 def make_rng(seed: int):
     """Counter-based generator: one 64-bit seed fixes the whole stream."""
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise SeldkitError(f"seed {seed} outside [0, 2^64)")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -407,6 +406,18 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
         feats, labs = moderate_mixup(feats, labs, sample_b[0], sample_b[1], lam)
 
     return feats, labs
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, if it is a whole number of any numeric type (3, 3.0,
+    np.int64(3)); anything else, nan and inf included, is a SeldkitError."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise SeldkitError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 def _check_time_alignment(feats: np.ndarray, labs: np.ndarray) -> None:

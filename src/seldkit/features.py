@@ -22,7 +22,6 @@ N_FREQ_BINS = 200
 SPEC_FLOOR = 1e-10
 
 _EPS_EIGVEC = 1e-9
-_SMOOTH = (3, 3)
 _BLOCK_FRAMES = 128
 _SQUARINGS = 10
 _RANK1_TOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -30,6 +29,10 @@ _RANK1_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 # the order the kernel holds them, and the position in that order of each
 _OFF_A, _OFF_B = np.tril_indices(4, -1)
 _OFF_AT = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(_OFF_A, _OFF_B))}
+# periodic Hann window, bit-identical to scipy's hann(STFT_WINDOW, sym=False):
+# its general_cosine sum over STFT_WINDOW + 1 points, minus the last. numpy
+# alone, so importing features loads no scipy.signal
+_HANN = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, STFT_WINDOW + 1)))[:STFT_WINDOW]
 
 
 @dataclass(frozen=True)
@@ -54,69 +57,52 @@ class NormStats:
         object.__setattr__(self, "std", std)
 
 
-def stft(clip: MultichannelClip, window_len: int = STFT_WINDOW,
-         hop: int = STFT_HOP) -> np.ndarray:
+def stft(clip: MultichannelClip) -> np.ndarray:
     """Hann-windowed DFT per channel, no signal padding.
 
-    Returns the complex (4, window_len/2+1, T) array of bins. Frame t
-    covers samples [t*hop, t*hop + window_len), so
-    T = floor((N - window_len)/hop) + 1 and the signal tail that does not
-    fill a window is dropped. Frames are windowed and transformed a block
-    at a time into the output, so no clip-sized frame array is built.
+    Returns the complex (4, STFT_WINDOW/2+1, T) = (4, 257, T) array of
+    bins. Frame t covers samples [t*STFT_HOP, t*STFT_HOP + STFT_WINDOW), so
+    T = floor((N - STFT_WINDOW)/STFT_HOP) + 1 and the signal tail that does
+    not fill a window is dropped. Frames are windowed and transformed a
+    block at a time into the output, so no clip-sized frame array is built.
     """
-    n_t = _n_frames(clip.samples, window_len, hop)
-    window = _hann(window_len)
-    spec = np.empty((len(clip.samples), window_len // 2 + 1, n_t), dtype=complex)
+    n_t = _n_frames(clip.samples)
+    spec = np.empty((len(clip.samples), STFT_WINDOW // 2 + 1, n_t), dtype=complex)
     for _, start, stop, _ in _blocks(n_t):
-        spec[:, :, start:stop] = _stft_block(clip.samples, start, stop, window, hop)
+        spec[:, :, start:stop] = _stft_block(clip.samples, start, stop)
     return spec
 
 
-def _n_frames(samples: np.ndarray, window_len: int, hop: int) -> int:
+def _n_frames(samples: np.ndarray) -> int:
     n = samples.shape[1]
-    if n < window_len:
-        raise TooShort(f"clip has {n} samples, window needs {window_len}")
-    return (n - window_len) // hop + 1
+    if n < STFT_WINDOW:
+        raise TooShort(f"clip has {n} samples, window needs {STFT_WINDOW}")
+    return (n - STFT_WINDOW) // STFT_HOP + 1
 
 
-def _hann(n: int) -> np.ndarray:
-    """Periodic Hann window of length n, bit-identical to scipy's
-    hann(n, sym=False): its general_cosine sum over n + 1 points, minus the
-    last. numpy alone, so importing features loads no scipy.signal."""
-    if n <= 1:
-        return np.ones(n)
-    fac = np.linspace(-np.pi, np.pi, n + 1)
-    w = np.zeros(n + 1)
-    w += 0.5 * np.cos(0 * fac)
-    w += 0.5 * np.cos(1 * fac)
-    return w[:n]
+def _stft_block(samples: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """(C, STFT_WINDOW/2+1, stop - start) bins of stft frames [start, stop)."""
+    chunk = samples[:, start * STFT_HOP:(stop - 1) * STFT_HOP + STFT_WINDOW]
+    frames = sliding_window_view(chunk, STFT_WINDOW, axis=1)[:, ::STFT_HOP]
+    return np.fft.rfft(frames * _HANN, axis=2).transpose(0, 2, 1)
 
 
-def _stft_block(samples: np.ndarray, start: int, stop: int,
-                window: np.ndarray, hop: int) -> np.ndarray:
-    """(C, len(window)/2+1, stop - start) bins of stft frames [start, stop)."""
-    chunk = samples[:, start * hop:(stop - 1) * hop + len(window)]
-    frames = sliding_window_view(chunk, len(window), axis=1)[:, ::hop]
-    return np.fft.rfft(frames * window, axis=2).transpose(0, 2, 1)
-
-
-def log_linear_spectrogram(spec, n_bins: int = N_FREQ_BINS) -> np.ndarray:
+def log_linear_spectrogram(spec) -> np.ndarray:
     """ln of power per bin of a stft array, floored at SPEC_FLOOR, keeping
-    the lowest n_bins bins."""
-    bins = np.asarray(spec)[:, :n_bins, :]
+    the lowest N_FREQ_BINS bins."""
+    bins = np.asarray(spec)[:, :N_FREQ_BINS, :]
     return np.log(np.maximum(np.abs(bins) ** 2, SPEC_FLOOR))
 
 
-def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
-                          smooth: tuple = _SMOOTH) -> np.ndarray:
+def eigenvector_intensity(spec) -> np.ndarray:
     """Direction estimate per TF bin of a stft array from the smoothed
     spatial covariance.
 
-    For each retained (f, t): sum x*x^H over a smooth = (freq, time)
-    neighborhood (clipped at the edges, so corner cells sum fewer terms;
-    the sum is not divided by their number, as a positive scale leaves an
-    eigenvector as it is), take the principal eigenvector u of the 4x4
-    result, and read the direction off the component ratios
+    For each (f, t) in the lowest N_FREQ_BINS bins: sum x*x^H over the
+    3 x 3 (freq, time) neighborhood (clipped at the edges, so corner cells
+    sum fewer terms; the sum is not divided by their number, as a positive
+    scale leaves an eigenvector as it is), take the principal eigenvector u
+    of the 4x4 result, and read the direction off the component ratios
     Re(u[1:4]/u[0]). The ratio cancels the eigenvector's arbitrary global
     phase, so no separate sign convention is needed. Bins where the W
     component nearly vanishes (|u[0]| <= 1e-9) carry no usable direction
@@ -125,48 +111,38 @@ def eigenvector_intensity(spec, n_bins: int = N_FREQ_BINS,
 
     The covariance is summed directly (shifted adds, no running sums, so
     quiet bins after loud ones keep full precision) in blocks of time
-    frames, each read with the halo its window needs. Working memory is
-    O(n_bins x block) whatever the clip length, and every output frame is
-    the same whatever the block size. The sums are formed straight into the
-    kernel's layout, the 4 diagonal entries and the 6 below them. Repeated
-    squaring brings each bin to a rank-1 matrix whose top column lies
-    along u, so no unit eigenvector is formed; np.linalg.eigh takes the
-    bins that never get there, such as ties at the top eigenvalue (see
-    _principal_directions). A covariance that is not finite (a non-finite
-    spec, or one whose products overflow float64) raises SeldkitError.
+    frames, each read with the one-frame halo the window needs. Working
+    memory is O(N_FREQ_BINS x block) whatever the clip length, and every
+    output frame is the same whatever the block size. The sums are formed
+    straight into the kernel's layout, the 4 diagonal entries and the 6
+    below them. Repeated squaring brings each bin to a rank-1 matrix whose
+    top column lies along u, so no unit eigenvector is formed;
+    np.linalg.eigh takes the bins that never get there, such as ties at the
+    top eigenvalue (see _principal_directions). A covariance that is not
+    finite (a non-finite spec, or one whose products overflow float64)
+    raises SeldkitError.
 
-    Output channels are (I_x, I_y, I_z), Cartesian order, shape (3, n_bins, T).
+    Output channels are (I_x, I_y, I_z), Cartesian order, shape
+    (3, min(N_FREQ_BINS, bins of spec), T).
     """
-    x = np.asarray(spec)[:, :n_bins, :]
-    halos = _smoothing(smooth)
+    x = np.asarray(spec)[:, :N_FREQ_BINS, :]
     intensity = np.empty((3,) + x.shape[1:])
-    for lo, start, stop, hi in _blocks(x.shape[2], halos[1]):
-        intensity[:, :, start:stop] = _intensity_block(
-            x[:, :, lo:hi], lo, start, stop, halos)
+    for lo, start, stop, hi in _blocks(x.shape[2], halo=1):
+        intensity[:, :, start:stop] = _intensity_block(x[:, :, lo:hi], lo, start, stop)
     return intensity
 
 
-def _smoothing(smooth: tuple) -> list:
-    """Check smooth = (freq, time); return the window's (before, after) halo
-    per axis."""
-    size_f, size_t = smooth
-    if size_f < 1 or size_t < 1:
-        raise SeldkitError(f"smoothing window must be positive, got {smooth}")
-    return [((size - 1) // 2, size // 2) for size in (size_f, size_t)]
-
-
-def _blocks(n_t: int, halo: tuple = (0, 0)):
+def _blocks(n_t: int, halo: int = 0):
     """(lo, start, stop, hi) per block [start, stop) of _BLOCK_FRAMES of n_t
-    frames; [lo, hi) adds a (before, after) halo, clipped to the clip."""
+    frames; [lo, hi) adds halo frames each side, clipped to the clip."""
     for start in range(0, n_t, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, n_t)
-        yield max(start - halo[0], 0), start, stop, min(stop + halo[1], n_t)
+        yield max(start - halo, 0), start, stop, min(stop + halo, n_t)
 
 
-def _intensity_block(block, lo: int, start: int, stop: int,
-                     halos: list) -> np.ndarray:
+def _intensity_block(block, lo: int, start: int, stop: int) -> np.ndarray:
     """Intensity of frames [start, stop) from block, a stft array's frames
-    [lo, hi) of _blocks; halos are the clip's _smoothing.
+    [lo, hi) of _blocks with the 3 x 3 window's halo of 1.
 
     The 10 products x_a conj(x_b), a >= b, are written into one array; the
     diagonal ones are complex products like the rest, and the first box
@@ -184,10 +160,9 @@ def _intensity_block(block, lo: int, start: int, stop: int,
         # each step's inputs are freed as it ends, so the thread's heap
         # holds only (d, o) and the kernel's own arrays while the kernel runs
         del block, conj
-        sums = [_box_sum(part, *halos[0], axis=1)
-                for part in (products[:4].real, products[4:])]
+        sums = [_box_sum(part, axis=1) for part in (products[:4].real, products[4:])]
         del products
-        d, o = [_box_sum(part, *halos[1], axis=2, start=start - lo, stop=stop - lo)
+        d, o = [_box_sum(part, axis=2, start=start - lo, stop=stop - lo)
                 for part in sums]
         del sums
     return _principal_directions(d, o)
@@ -329,16 +304,14 @@ def salsa(clip: MultichannelClip) -> np.ndarray:
     into the output, so only the clip and the output grow with clip
     length; the bytes equal the three public stages composed and cast.
     """
-    n_t = _n_frames(clip.samples, STFT_WINDOW, STFT_HOP)
-    window = _hann(STFT_WINDOW)
-    halos = _smoothing(_SMOOTH)
+    n_t = _n_frames(clip.samples)
     out = np.empty((7, N_FREQ_BINS, n_t), dtype=np.float32)
-    for lo, start, stop, hi in _blocks(n_t, halos[1]):
-        spec = _stft_block(clip.samples, lo, hi, window, STFT_HOP)
+    for lo, start, stop, hi in _blocks(n_t, halo=1):
+        spec = _stft_block(clip.samples, lo, hi)
         # intensity first: a covariance that overflows raises SeldkitError
         # before the power spectrum would warn
-        out[4:, :, start:stop] = _intensity_block(spec[:, :N_FREQ_BINS], lo, start,
-                                                  stop, halos)
+        out[4:, :, start:stop] = _intensity_block(spec[:, :N_FREQ_BINS], lo,
+                                                  start, stop)
         out[:4, :, start:stop] = log_linear_spectrogram(spec[..., start - lo:stop - lo])
     return out
 
@@ -407,19 +380,17 @@ def load_norm_stats(path) -> NormStats:
     return NormStats(arr[0], arr[1])
 
 
-def _box_sum(arr: np.ndarray, before: int, after: int, axis: int,
-             start: int = 0, stop: int = None) -> np.ndarray:
-    """Sum over the window [i - before, i + after] along axis, clipped to
-    the array's extent, at positions i in [start, stop) (all of them by
-    default), by shifted adds in a fixed order."""
+def _box_sum(arr: np.ndarray, axis: int, start: int = 0,
+             stop: int = None) -> np.ndarray:
+    """Sum over the window [i - 1, i + 1] along axis, clipped to the
+    array's extent, at positions i in [start, stop) (all of them by
+    default): x[i], plus x[i - 1], plus x[i + 1], in that order."""
     n = arr.shape[axis]
     stop = n if stop is None else stop
     out = arr[(slice(None),) * axis + (slice(start, stop),)].copy()
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
-    for k in range(1, before + 1):
-        first = min(max(start, k), stop)  # positions from here on have i - k >= 0
-        dst[first - start:] += src[first - k:stop - k]
-    for k in range(1, after + 1):
-        end = max(min(stop, n - k), start)  # positions below it have i + k < n
-        dst[:end - start] += src[start + k:end + k]
+    first = min(max(start, 1), stop)  # positions from here on have i - 1 >= 0
+    dst[first - start:] += src[first - 1:stop - 1]
+    end = max(min(stop, n - 1), start)  # positions below it have i + 1 < n
+    dst[:end - start] += src[start + 1:end + 1]
     return out

@@ -140,20 +140,18 @@ def brute_force_seld_scores(preds, refs, spatial_threshold=20.0,
             "er_undefined": er_undefined}
 
 
-def loop_intensity(bins, smooth=(3, 3)):
+def loop_intensity(bins):
     """Per-cell intensity recomputation: python-loop box mean over the
-    clipped neighborhood, principal eigenvector by power iteration, then
-    the same ratio/reorder/clip rules."""
+    clipped 3 x 3 neighborhood, principal eigenvector by power iteration,
+    then the same ratio/reorder/clip rules."""
     n_ch, n_f, n_t = bins.shape
-    half_f_lo, half_f_hi = (smooth[0] - 1) // 2, smooth[0] // 2
-    half_t_lo, half_t_hi = (smooth[1] - 1) // 2, smooth[1] // 2
     out = np.zeros((3, n_f, n_t))
     for f in range(n_f):
         for t in range(n_t):
             acc = np.zeros((4, 4), dtype=complex)
             count = 0
-            for ff in range(max(f - half_f_lo, 0), min(f + half_f_hi + 1, n_f)):
-                for tt in range(max(t - half_t_lo, 0), min(t + half_t_hi + 1, n_t)):
+            for ff in range(max(f - 1, 0), min(f + 2, n_f)):
+                for tt in range(max(t - 1, 0), min(t + 2, n_t)):
                     v = bins[:, ff, tt]
                     acc += np.outer(v, v.conj())
                     count += 1
@@ -184,10 +182,10 @@ def power_iteration(matrix, iterations=2000):
     return vec
 
 
-def direct_sum_intensity(bins, smooth=(3, 3)):
+def direct_sum_intensity(bins):
     """Float64 intensity from smoothed_covariance: principal eigenvector by
     eigh, then the same ratio/reorder/clip rules."""
-    _, vecs = np.linalg.eigh(smoothed_covariance(bins, smooth))
+    _, vecs = np.linalg.eigh(smoothed_covariance(bins))
     u = vecs[..., :, -1]
     out = np.zeros((3,) + u.shape[:2])
     usable = np.abs(u[..., 0]) > 1e-9
@@ -200,24 +198,22 @@ def direct_sum_intensity(bins, smooth=(3, 3)):
     return out
 
 
-def smoothed_covariance(bins, smooth=(3, 3)):
+def smoothed_covariance(bins):
     """(F, T, 4, 4) float64 covariance per bin, summed term by term: every
-    x x^H in the clipped smooth = (freq, time) window is added from a
+    x x^H in the clipped 3 x 3 (freq, time) window is added from a
     zero-padded copy of the grid, so no running sum or difference of sums
     is involved."""
     x = np.asarray(bins, dtype=complex)
     n_f, n_t = x.shape[1:]
-    lo_f, hi_f = (smooth[0] - 1) // 2, smooth[0] // 2
-    lo_t, hi_t = (smooth[1] - 1) // 2, smooth[1] // 2
     outer = np.einsum("aft,bft->ftab", x, x.conj())
-    padded = np.zeros((n_f + lo_f + hi_f, n_t + lo_t + hi_t, 4, 4), dtype=complex)
-    padded[lo_f:lo_f + n_f, lo_t:lo_t + n_t] = outer
+    padded = np.zeros((n_f + 2, n_t + 2, 4, 4), dtype=complex)
+    padded[1:1 + n_f, 1:1 + n_t] = outer
     inside = np.zeros(padded.shape[:2])
-    inside[lo_f:lo_f + n_f, lo_t:lo_t + n_t] = 1.0
+    inside[1:1 + n_f, 1:1 + n_t] = 1.0
     acc = np.zeros((n_f, n_t, 4, 4), dtype=complex)
     count = np.zeros((n_f, n_t))
-    for df in range(smooth[0]):
-        for dt in range(smooth[1]):
+    for df in range(3):
+        for dt in range(3):
             acc += padded[df:df + n_f, dt:dt + n_t]
             count += inside[df:df + n_f, dt:dt + n_t]
     return acc / count[..., None, None]

@@ -470,6 +470,12 @@ class TestSampleLambda:
         with pytest.raises(SeldkitError):
             sample_lambda(make_rng(0), alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # rng.beta returns nan for these rather than raising
+        with pytest.raises(SeldkitError, match="must be positive and finite"):
+            sample_lambda(make_rng(0), alpha=alpha)
+
 
 class TestMakeRng:
     def test_same_seed_same_stream(self):
@@ -487,6 +493,41 @@ class TestMakeRng:
             make_rng(-1)
         with pytest.raises(SeldkitError):
             make_rng(2 ** 64)
+
+
+class TestIntegerArguments:
+    """pitch_shift, frame_shift, time_mask and make_rng take a whole number
+    of any numeric type and refuse anything else rather than truncate it."""
+
+    @staticmethod
+    def calls(value):
+        feats, labs = np.ones((7, 5, 160)), np.ones((3, 13, 20))
+        return {
+            "shift": lambda: pitch_shift(feats, value),
+            "offset": lambda: frame_shift(feats, labs, value),
+            "start_frame": lambda: time_mask(feats, labs, value, 8, (0.0, 1.0)),
+            "mask_len": lambda: time_mask(feats, labs, 0, value, (0.0, 1.0)),
+            "seed": lambda: make_rng(value),
+        }
+
+    @pytest.mark.parametrize("value", [8.7, 0.9, 1.5, float("nan"), float("inf"), "8"])
+    def test_non_integers_rejected(self, value):
+        for name, call in self.calls(value).items():
+            with pytest.raises(SeldkitError, match=f"^{name} must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("value", [8.0, np.int64(8), np.float32(8), np.uint8(8)])
+    def test_integral_values_of_any_type_accepted(self, value):
+        def arrays(name, out):
+            if name == "seed":
+                return (out.random(4),)
+            return out if isinstance(out, tuple) else (out,)
+
+        want = {name: call() for name, call in self.calls(8).items()}
+        for name, call in self.calls(value).items():
+            for got, expected in zip(arrays(name, call()), arrays(name, want[name]),
+                                     strict=True):
+                assert_array_equal(got, expected, err_msg=name)
 
 
 class TestAugmentConfig:
