@@ -133,14 +133,17 @@ def apply_pattern_to_waveform(clip: MultichannelClip,
 def pitch_shift(features, shift_bins: int, max_shift: int = 10) -> np.ndarray:
     """Shift all channels along frequency by shift_bins (positive = upward).
 
-    Rows vacated at the boundary are filled by replicating the edge row, so
-    no artificial silence enters mid-feature. Labels are untouched: a small
-    frequency shift changes timbre, not direction.
+    |shift_bins| may be at most max_shift, an integer >= 0. Rows vacated at
+    the boundary are filled by replicating the edge row, so no artificial
+    silence enters mid-feature. Labels are untouched: a small frequency
+    shift changes timbre, not direction.
     """
     feats = np.asarray(features)
     if feats.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T) features, got {feats.shape}")
     shift = _integer(shift_bins, "shift")
+    if _integer(max_shift, "max_shift") < 0:
+        raise SeldkitError(f"max_shift must be >= 0, got {max_shift}")
     if abs(shift) > max_shift:
         raise ShiftOutOfRange(f"|{shift}| exceeds the allowed range {max_shift}")
     n_bins = feats.shape[1]
@@ -173,14 +176,18 @@ def time_mask(features, labels, start_frame: int, mask_len: int,
     """Zero features and deactivate labels on [start, start + mask_len).
 
     Both boundaries must land on label-frame edges (multiples of 8 feature
-    frames), and mask_len/T must fall inside ratio_range. Masked feature
-    cells become 0, which is the dataset mean in the normalized domain.
+    frames), and mask_len/T must fall inside ratio_range, a (lo, hi) pair
+    with 0 <= lo <= hi <= 1. Masked feature cells become 0, which is the
+    dataset mean in the normalized domain.
     """
     feats = np.asarray(features)
     labs = np.asarray(labels)
     _check_time_alignment(feats, labs)
     start = _integer(start_frame, "start_frame")
     length = _integer(mask_len, "mask_len")
+    lo, hi = ratio_range
+    if not 0 <= lo <= hi <= 1:
+        raise SeldkitError(f"need 0 <= lo <= hi <= 1, got ratio_range {ratio_range}")
     n_frames = feats.shape[2]
     if n_frames == 0:
         raise TooShort("no frames to mask: the mask ratio is undefined")
@@ -193,7 +200,6 @@ def time_mask(features, labels, start_frame: int, mask_len: int,
             f"mask [{start}, {start + length}) not aligned to "
             f"{FRAMES_PER_LABEL}-frame label boundaries"
         )
-    lo, hi = ratio_range
     ratio = length / n_frames
     if ratio < lo - _RATIO_SLACK or ratio > hi + _RATIO_SLACK:
         raise RatioOutOfRange(f"mask ratio {ratio:.4f} outside [{lo}, {hi}]")

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset_io import MultichannelClip, read_feature_file, write_feature_file
-from .errors import EmptyManifest, SeldkitError, ShapeMismatch, TooShort
+from .errors import EmptyManifest, SeldkitError, ShapeMismatch
 
 STFT_WINDOW = 512
 STFT_HOP = 300
@@ -74,10 +74,8 @@ def stft(clip: MultichannelClip) -> np.ndarray:
 
 
 def _n_frames(samples: np.ndarray) -> int:
-    n = samples.shape[1]
-    if n < STFT_WINDOW:
-        raise TooShort(f"clip has {n} samples, window needs {STFT_WINDOW}")
-    return (n - STFT_WINDOW) // STFT_HOP + 1
+    # a MultichannelClip holds at least STFT_WINDOW samples
+    return (samples.shape[1] - STFT_WINDOW) // STFT_HOP + 1
 
 
 def _stft_block(samples: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Squeeze-and-excitation operators with verified analytic gradients.
 
-Every SE variant is one operator over a (C, F, T) map: squeeze it to means
-over some axes, excite the means through a d -> d/r -> d bottleneck (ReLU,
-then sigmoid), and gate the map by the result. The variants differ only in
-the axes they squeeze. Channel SE averages over frequency and time, so each
-channel gets one gate; frequency SE averages over channels, so each
-frequency bin gets a gate recomputed independently for every time frame.
-The multi-dimensional block runs frequency first, then channel. float32
+There are two SE stages, named by the (C, F, T) axes they squeeze. Each is
+one operator: squeeze the map to means over its axes, excite the means
+through a d -> d/r -> d bottleneck (ReLU, then sigmoid), and gate the map by
+the result. Channel SE averages over frequency and time, so each channel
+gets one gate; frequency SE averages over channels, so each frequency bin
+gets a gate recomputed independently for every time frame. The
+multi-dimensional block runs frequency first, then channel. float32
 input is read in place and widened exactly where it is read; all arithmetic
 is float64, so the central-difference checks in gradcheck are meaningful.
 The backward pass is the exact gradient of the forward, including the paths
@@ -102,45 +102,43 @@ def random_params(rng, d: int, r: int) -> SeParams:
     )
 
 
-# The (C, F, T) axes each variant averages over. The first axis left over is
+# The (C, F, T) axes each stage averages over. The first axis left over is
 # the gated one, of size d; each of the m cells along the rest gets its own
 # excitation (m = 1 for channel SE, m = T for frequency SE).
-_SQUEEZE_AXES = {"channel": (1, 2), "freq": (0,)}
+_CHANNEL_AXES = (1, 2)
+_FREQ_AXES = (0,)
 
 
-def se_forward(x, p: SeParams, which: str) -> np.ndarray:
-    """Gate x by an excitation of its means over the axes that variant
-    `which` ("channel" or "freq") squeezes."""
-    return _gate(_se(_as_tensor3(x), p, which))
+def _se_forward(axes: tuple, x, p: SeParams) -> np.ndarray:
+    """Gate x by an excitation of its means over axes."""
+    return _gate(_se(_as_tensor3(x), p, axes))
 
 
-def se_backward(x, p: SeParams, grad_y, which: str) -> tuple:
-    """Exact gradients of se_forward: (grad_x, parameter gradients)."""
-    x = _as_tensor3(x)
-    grad_y = _as_grad(grad_y, x)
-    return _se_grad(_se(x, p, which), p, grad_y)
+def _se_backward(axes: tuple, x, p: SeParams, grad_y) -> tuple:
+    """Exact gradients of _se_forward: (grad_x, parameter gradients)."""
+    x, grad_y = _as_pair(x, grad_y)
+    return _se_grad(_se(x, p, axes), p, grad_y)
 
 
-channel_se_forward = partial(se_forward, which="channel")
-channel_se_backward = partial(se_backward, which="channel")
-freq_se_forward = partial(se_forward, which="freq")
-freq_se_backward = partial(se_backward, which="freq")
+channel_se_forward = partial(_se_forward, _CHANNEL_AXES)
+channel_se_backward = partial(_se_backward, _CHANNEL_AXES)
+freq_se_forward = partial(_se_forward, _FREQ_AXES)
+freq_se_backward = partial(_se_backward, _FREQ_AXES)
 
 
 def multi_dim_se_forward(x, p_freq: SeParams, p_chan: SeParams) -> np.ndarray:
     """Frequency SE first, channel SE second."""
-    inner = _gate(_se(_as_tensor3(x), p_freq, "freq"))
-    return _gate(_se(inner, p_chan, "channel"), out=inner)
+    inner = _gate(_se(_as_tensor3(x), p_freq, _FREQ_AXES))
+    return _gate(_se(inner, p_chan, _CHANNEL_AXES), out=inner)
 
 
 def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
                           grad_y) -> tuple:
     """Exact gradients of multi_dim_se_forward: (grad_x, frequency
     parameter gradients, channel parameter gradients)."""
-    x = _as_tensor3(x)
-    grad_y = _as_grad(grad_y, x)
-    freq_cache = _se(x, p_freq, "freq")
-    chan_cache = _se(_gate(freq_cache), p_chan, "channel")
+    x, grad_y = _as_pair(x, grad_y)
+    freq_cache = _se(x, p_freq, _FREQ_AXES)
+    chan_cache = _se(_gate(freq_cache), p_chan, _CHANNEL_AXES)
     # the channel einsum is the gated map's last reader, so grad_inner
     # overwrites it and the whole backward holds one map
     grad_inner, grad_p_chan = _se_grad(chan_cache, p_chan, grad_y,
@@ -196,19 +194,19 @@ def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
 
 
 # Blocks `seldkit gradcheck` verifies: forward(x, *params),
-# backward(x, *params, grad_y) and the variant each parameter set is for.
+# backward(x, *params, grad_y) and the axes each parameter set's stage squeezes.
 GRADCHECK_BLOCKS = {
-    "channel": (channel_se_forward, channel_se_backward, ("channel",)),
-    "freq": (freq_se_forward, freq_se_backward, ("freq",)),
-    "multi": (multi_dim_se_forward, multi_dim_se_backward, ("freq", "channel")),
+    "channel": (channel_se_forward, channel_se_backward, (_CHANNEL_AXES,)),
+    "freq": (freq_se_forward, freq_se_backward, (_FREQ_AXES,)),
+    "multi": (multi_dim_se_forward, multi_dim_se_backward, (_FREQ_AXES, _CHANNEL_AXES)),
 }
 
 
 def gradcheck_params(rng, block: str, shape, r: int) -> list:
     """Random SeParams for each stage of GRADCHECK_BLOCKS[block] on a
     (C, F, T) shape, frequency first."""
-    return [random_params(rng, shape[_gated_axis(which)], r)
-            for which in GRADCHECK_BLOCKS[block][2]]
+    return [random_params(rng, shape[_gated_axis(axes)], r)
+            for axes in GRADCHECK_BLOCKS[block][2]]
 
 
 def _hidden_size(d: int, r: int) -> int:
@@ -217,25 +215,17 @@ def _hidden_size(d: int, r: int) -> int:
     return d // r
 
 
-def _squeeze_axes(which: str) -> tuple:
-    try:
-        return _SQUEEZE_AXES[which]
-    except KeyError:
-        raise SeldkitError(f"unknown SE variant {which!r}") from None
+def _gated_axis(axes: tuple) -> int:
+    return min(set(range(3)) - set(axes))
 
 
-def _gated_axis(which: str) -> int:
-    return min(set(range(3)) - set(_squeeze_axes(which)))
-
-
-def _se(x: np.ndarray, p: SeParams, which: str) -> tuple:
+def _se(x: np.ndarray, p: SeParams, axes: tuple) -> tuple:
     """Squeeze the (C, F, T) x to float64 (d, m) means z and run the
     bottleneck on them: returns the cache _gate and _se_grad read (x, the
     squeezed axes, the shape that lifts (d, m) back onto x, z, a1, h and
     the gates s). The gated map itself is left to _gate, since a backward
     pass needs it only where a further SE stage reads it."""
-    axes = _squeeze_axes(which)
-    gated = _gated_axis(which)
+    gated = _gated_axis(axes)
     if p.d != x.shape[gated]:
         raise ShapeMismatch(
             f"params expect d={p.d}, input has {'CFT'[gated]}={x.shape[gated]}"
@@ -348,8 +338,8 @@ def _as_tensor3(x) -> np.ndarray:
     return arr
 
 
-def _as_grad(grad_y, x: np.ndarray) -> np.ndarray:
-    grad_y = _as_tensor3(grad_y)
+def _as_pair(x, grad_y) -> tuple:
+    x, grad_y = _as_tensor3(x), _as_tensor3(grad_y)
     if grad_y.shape != x.shape:
         raise ShapeMismatch(f"grad shape {grad_y.shape} != input {x.shape}")
-    return grad_y
+    return x, grad_y

@@ -137,12 +137,12 @@ class TestAcceptance:
             # pre-activation at least 1.5e-4 from the rectifier kink, three
             # times the step, so no perturbation crosses it
             eps = 5e-5
-            for variant, shape, r in grid:
-                fwd, bwd, _ = GRADCHECK_BLOCKS[variant]
+            for block, shape, r in grid:
+                fwd, bwd, _ = GRADCHECK_BLOCKS[block]
                 for seed in range(800, 820):
                     rng = make_rng(seed)
                     x = rng.standard_normal(shape)
-                    params = gradcheck_params(rng, variant, shape, r)
+                    params = gradcheck_params(rng, block, shape, r)
                     assert gradcheck(fwd, bwd, x, params, eps) < 1e-6
 
             x = np.random.default_rng(303).standard_normal((4, 6, 5))

@@ -278,6 +278,12 @@ class TestPitchShift:
         with pytest.raises(ShapeMismatch):
             pitch_shift(np.zeros((12, 4)), 1)
         assert pitch_shift(feats, 12, max_shift=15).shape == feats.shape
+        # the bound is checked on its own, even for a zero shift
+        with pytest.raises(SeldkitError, match="^max_shift must be >= 0"):
+            pitch_shift(feats, 0, max_shift=-3)
+        with pytest.raises(ShiftOutOfRange):
+            pitch_shift(feats, 1, max_shift=0)
+        assert_array_equal(pitch_shift(feats, 0, max_shift=0), feats)
 
 
 class TestFrameShift:
@@ -384,6 +390,23 @@ class TestTimeMask:
         feats, labs = self._pair()
         with pytest.raises(ShapeMismatch):
             time_mask(feats[:, :, :8], labs, 0, 8)
+
+    @pytest.mark.parametrize("ratio_range", [
+        (float("nan"), float("nan")), (0.0, float("nan")), (float("nan"), 0.1),
+        (0.2, 2.0), (0.0, float("inf")), (-0.1, 0.1), (0.1, 0.05),
+    ])
+    def test_bad_ratio_range_rejected(self, ratio_range):
+        # checked before any mask is measured against it
+        feats, labs = self._pair(n_labels=10)
+        for start, length in ((0, 8), (0, 80)):
+            with pytest.raises(SeldkitError, match="got ratio_range"):
+                time_mask(feats, labs, start, length, ratio_range=ratio_range)
+
+    def test_unit_ratio_range_allows_the_whole_clip(self):
+        feats, labs = self._pair(n_labels=10)
+        out_f, out_l = time_mask(feats, labs, 0, 80, ratio_range=(0.0, 1.0))
+        assert_array_equal(out_f, 0.0)
+        assert_array_equal(out_l, 0.0)
 
     def test_no_frames_rejected(self):
         # an empty mask of an empty clip has no ratio to check
@@ -496,14 +519,16 @@ class TestMakeRng:
 
 
 class TestIntegerArguments:
-    """pitch_shift, frame_shift, time_mask and make_rng take a whole number
-    of any numeric type and refuse anything else rather than truncate it."""
+    """pitch_shift (shift and bound), frame_shift, time_mask and make_rng
+    take a whole number of any numeric type and refuse anything else rather
+    than truncate it."""
 
     @staticmethod
     def calls(value):
         feats, labs = np.ones((7, 5, 160)), np.ones((3, 13, 20))
         return {
             "shift": lambda: pitch_shift(feats, value),
+            "max_shift": lambda: pitch_shift(feats, 0, value),
             "offset": lambda: frame_shift(feats, labs, value),
             "start_frame": lambda: time_mask(feats, labs, value, 8, (0.0, 1.0)),
             "mask_len": lambda: time_mask(feats, labs, 0, value, (0.0, 1.0)),

@@ -35,7 +35,6 @@ from seldkit.se_block import (
     freq_se_forward,
     gradcheck_params,
     random_params,
-    se_backward,
 )
 
 
@@ -272,21 +271,6 @@ class TestBackwardBasics:
         for a, b in zip(gp2.as_arrays(), gp1.as_arrays()):
             assert_allclose(a, 2.0 * b, rtol=1e-12, atol=1e-15)
 
-    def test_dispatch_matches_direct_calls(self):
-        rng = rng_for(18)
-        x = rng.standard_normal((4, 4, 3))
-        p = random_params(rng, 4, 2)
-        grad_y = rng.standard_normal(x.shape)
-        for which, direct in (("channel", channel_se_backward),
-                              ("freq", freq_se_backward)):
-            gx_a, gp_a = se_backward(x, p, grad_y, which)
-            gx_b, gp_b = direct(x, p, grad_y)
-            assert_array_equal(gx_a, gx_b)
-            for a, b in zip(gp_a.as_arrays(), gp_b.as_arrays()):
-                assert_array_equal(a, b)
-        with pytest.raises(SeldkitError):
-            se_backward(x, p, grad_y, "time")
-
     def test_gradient_shape_validation(self):
         x = np.zeros((4, 3, 2))
         with pytest.raises(ShapeMismatch):
@@ -506,8 +490,9 @@ class TestResultPool:
         grad_y = multi_dim_se_forward(x, p_freq, p_chan)
         grad_x = multi_dim_se_backward(x, p_freq, p_chan, grad_y)[0]
         assert not np.shares_memory(grad_x, grad_y)
-        for which, p in (("freq", p_freq), ("channel", p_chan)):
-            grad_x = se_backward(x, p, grad_y, which)[0]
+        for backward, p in ((freq_se_backward, p_freq),
+                            (channel_se_backward, p_chan)):
+            grad_x = backward(x, p, grad_y)[0]
             assert not np.shares_memory(grad_x, grad_y)
         # a grad_y only the call refers to is not handed out mid-call
         want = multi_dim_se_backward(x, p_freq, p_chan, grad_y.copy())
