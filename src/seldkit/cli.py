@@ -28,7 +28,6 @@ from .dataset_io import (
 )
 from .errors import SeldkitError, ShapeMismatch
 
-GRADCHECK_TOLERANCE = 1e-6
 # The most array elements a flag may size (1 GiB as float64): encode's
 # --frames and --classes, gradcheck's --shape. Checked before allocating,
 # so an oversized flag is an input error rather than a MemoryError.
@@ -113,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=int, default=2,
                    help="reduction ratio, must divide C and F")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--eps", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ensemble", help="average ACCDOA tensors")
@@ -267,21 +265,19 @@ def cmd_gradcheck(args) -> int:
     # the input and the two stages' (d/r, d) weight pairs
     _check_budget("--shape", c * f * t + 2 * (c * c + f * f) // r)
 
-    all_pass = True
+    failed = 0
     for name, (fwd, bwd, _) in se_block.GRADCHECK_BLOCKS.items():
         worst = 0.0
         for seed in range(args.seeds):
             rng = augment.make_rng(seed)
             x = rng.standard_normal((c, f, t))
             params = se_block.gradcheck_params(rng, name, x.shape, r)
-            worst = max(worst, se_block.gradcheck(fwd, bwd, x, params, args.eps))
-        ok = worst < GRADCHECK_TOLERANCE
-        all_pass = all_pass and ok
-        verdict = "PASS" if ok else "FAIL"
-        print(f"{name}: {verdict} max_rel_err {worst:.3e} "
-              f"(threshold {GRADCHECK_TOLERANCE:g})")
+            worst = np.maximum(worst, se_block.gradcheck(fwd, bwd, x, params))
+        failed += not worst <= 1.0  # a nan ratio fails
+        print(f"{name}: {'PASS' if worst <= 1.0 else 'FAIL'} "
+              f"max_err_ratio {worst:.3e} (allowance 1)")
     print(f"{len(se_block.GRADCHECK_BLOCKS) * args.seeds} checks total")
-    return 0 if all_pass else 1
+    return 1 if failed else 0
 
 
 def cmd_ensemble(args) -> int:

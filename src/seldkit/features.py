@@ -368,6 +368,8 @@ def save_norm_stats(stats: NormStats, path) -> None:
     The container payload is float32, so reloaded statistics are the
     float32 rounding of the fitted values.
     """
+    if np.any(stats.std.astype(np.float32) == 0):  # it would not load back
+        raise SeldkitError("std below float32's smallest subnormal rounds to 0")
     write_feature_file(np.stack([stats.mean, stats.std]), path)
 
 

@@ -148,49 +148,50 @@ def multi_dim_se_backward(x, p_freq: SeParams, p_chan: SeParams,
     return grad_x, grad_p_freq, grad_p_chan
 
 
-def gradcheck(forward, backward, x, params, eps: float = 1e-5) -> float:
+def gradcheck(forward, backward, x, params) -> float:
     """Compare analytic gradients against central differences.
 
     params is a sequence of SeParams, one per stage, called the way the SE
     blocks are: forward(x, *params) must return a tensor y and
     backward(x, *params, grad_y) must return (grad_x, *param_grads), one
     SeParams of gradients per stage. The scalar probe loss is
-    L = sum(y**2). Copies of x and the parameter arrays are perturbed, x
-    first, then each stage's w1, b1, w2, b2 in turn. Returns the max over
-    all input and parameter entries of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    L = sum(y**2). Copies of x and the parameter arrays are perturbed by
+    +/- 1e-5, x first, then each stage's w1, b1, w2, b2 in turn. Each
+    entry's |analytic - numeric| is divided by its allowance: 1e-6 of the
+    larger of the two, plus 64 ulps of the larger probe loss over the step,
+    the rounding a sum of squares carries into the difference quotient.
+    Returns the worst ratio, so a correct gradient reads at most 1 (nan if
+    any gradient or loss is nan).
     """
-    if not 0.0 < eps < 1e-3:
-        raise SeldkitError(f"eps {eps} outside (0, 1e-3)")
     x = np.array(x, dtype=np.float64)
     params = [SeParams(*(a.copy() for a in p.as_arrays())) for p in params]
     arrays = [x] + [a for p in params for a in p.as_arrays()]
 
-    y = forward(x, *params)
-    grad_x, *param_grads = backward(x, *params, 2.0 * y)
+    grad_x, *param_grads = backward(x, *params, 2.0 * forward(x, *params))
     analytic = [np.asarray(grad_x)] + [a for g in param_grads for a in g.as_arrays()]
 
-    worst = 0.0
-    for which, arr in enumerate(arrays):
-        grads = analytic[which]
+    worst, step = 0.0, 1e-5
+    for arr, grads in zip(arrays, analytic, strict=True):
         if grads.shape != arr.shape:
             raise ShapeMismatch(
                 f"backward returned gradient of shape {grads.shape} "
                 f"for an array of shape {arr.shape}"
             )
         flat = arr.reshape(-1)
-        for i in range(flat.size):
+        for i, a in enumerate(grads.reshape(-1).tolist()):
             original = flat[i]
-            flat[i] = original + eps
+            flat[i] = original + step
             loss_hi = float((forward(x, *params) ** 2).sum())
-            flat[i] = original - eps
+            flat[i] = original - step
             loss_lo = float((forward(x, *params) ** 2).sum())
             flat[i] = original
-            numeric = (loss_hi - loss_lo) / (2.0 * eps)
-            a = float(grads.reshape(-1)[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst
+            numeric = (loss_hi - loss_lo) / (2.0 * step)
+            allowed = (1e-6 * max(abs(a), abs(numeric))
+                       + 64 * np.finfo(float).eps * max(loss_hi, loss_lo) / step)
+            # allowed is 0 only where both losses and both gradients are;
+            # np.maximum, unlike max, keeps a nan
+            worst = np.maximum(worst, abs(a - numeric) / allowed if a != numeric else 0.0)
+    return float(worst)
 
 
 # Blocks `seldkit gradcheck` verifies: forward(x, *params),

@@ -132,18 +132,16 @@ class TestAcceptance:
                 ("freq", (3, 8, 4), 4),
                 ("multi", (4, 6, 5), 2),
             )
-            # step size balances difference-quotient truncation against
-            # 64-bit loss quantization; these seeds keep every hidden
-            # pre-activation at least 1.5e-4 from the rectifier kink, three
-            # times the step, so no perturbation crosses it
-            eps = 5e-5
+            # these seeds keep every hidden pre-activation at least 1.5e-4
+            # from the rectifier kink, fifteen times gradcheck's step, so no
+            # perturbation crosses it
             for block, shape, r in grid:
                 fwd, bwd, _ = GRADCHECK_BLOCKS[block]
                 for seed in range(800, 820):
                     rng = make_rng(seed)
                     x = rng.standard_normal(shape)
                     params = gradcheck_params(rng, block, shape, r)
-                    assert gradcheck(fwd, bwd, x, params, eps) < 1e-6
+                    assert gradcheck(fwd, bwd, x, params) <= 1
 
             x = np.random.default_rng(303).standard_normal((4, 6, 5))
             assert_allclose(channel_se_forward(x, zero_params(4, 2)),

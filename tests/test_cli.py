@@ -812,8 +812,17 @@ class TestGradcheckCmd:
             fields = line.split()
             assert fields[0] == f"{name}:"
             assert fields[1] == "PASS"
-            assert float(fields[3]) < 1e-6
+            assert fields[2] == "max_err_ratio"
+            assert float(fields[3]) <= 1
         assert lines[3] == "15 checks total"
+
+    def test_twenty_seeds_pass(self, capsys):
+        # the relative error of a near-zero entry is rounding, not a wrong
+        # gradient: a fixed relative threshold failed freq and multi here
+        rc = cli.main(["gradcheck", "--seeds", "20"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.count("PASS") == 3
 
     def test_seeds_flag_changes_the_count(self, capsys):
         rc = cli.main(["gradcheck", "--seeds", "2"])
@@ -822,9 +831,10 @@ class TestGradcheckCmd:
 
     def test_custom_shape_and_ratio(self, capsys):
         rc = cli.main(["gradcheck", "--shape", "4,8,3", "--ratio", "4",
-                       "--seeds", "1"])
-        assert rc == 0
-        capsys.readouterr()
+                       "--seeds", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.count("PASS") == 3
 
     def test_ratio_must_divide(self, capsys):
         rc = cli.main(["gradcheck", "--ratio", "5"])
@@ -835,11 +845,6 @@ class TestGradcheckCmd:
         rc = cli.main(["gradcheck", "--shape", "4,6"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_eps_is_validated(self, capsys):
-        rc = cli.main(["gradcheck", "--eps", "0", "--seeds", "1"])
-        assert rc == 1
-        capsys.readouterr()
 
 
 class TestNumericFlags:

@@ -675,6 +675,16 @@ class TestNormStats:
         assert_array_equal(loaded.mean, mean.astype(np.float32).astype(np.float64))
         assert_array_equal(loaded.std, std.astype(np.float32).astype(np.float64))
 
+    def test_save_refuses_std_that_rounds_to_zero(self, tmp_path):
+        path = tmp_path / "stats.slsa"
+        stats = NormStats(np.zeros((2, 3)), np.full((2, 3), 1e-50))
+        with pytest.raises(SeldkitError, match="subnormal"):
+            save_norm_stats(stats, path)
+        assert not path.exists()
+        # the smallest float32 subnormal still loads back
+        save_norm_stats(NormStats(np.zeros((2, 3)), np.full((2, 3), 1e-45)), path)
+        assert np.all(load_norm_stats(path).std > 0)
+
     def test_load_rejects_wrong_layout(self, tmp_path):
         from seldkit import write_feature_file
 

@@ -1,6 +1,6 @@
-"""Every Python file of the package, its tests and its benchmark parses as
-the oldest Python pyproject.toml accepts, so newer syntax cannot slip in
-while the tests run on a newer interpreter."""
+"""Every Python file of the package, its tests, its benchmark and its
+tools parses as the oldest Python pyproject.toml accepts, so newer syntax
+cannot slip in while the tests run on a newer interpreter."""
 
 import ast
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for folder in ("src", "tests", "perfbench")
+SOURCES = sorted(path for folder in ("src", "tests", "perfbench", "tools")
                  for path in (ROOT / folder).rglob("*.py"))
 
 
