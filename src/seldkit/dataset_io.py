@@ -43,10 +43,6 @@ N_CLASSES = 13
 _MAGIC = b"SLSA"
 _VERSION = 1
 
-# peak scale per integer PCM width; int16 full-scale -32768 maps to -1.0
-_INT_SCALE = {np.dtype(np.int16): 2.0 ** 15, np.dtype(np.int32): 2.0 ** 31}
-
-
 def normalize_azimuth(az: float) -> float:
     """Wrap an azimuth in degrees into [-180, 180)."""
     return (az + 180.0) % 360.0 - 180.0
@@ -113,76 +109,80 @@ class DatasetManifest:
 
 
 def read_foa_wav(path) -> MultichannelClip:
-    """Read a 4-channel 24 kHz PCM WAV into a normalized clip.
+    """Read a 4-channel 24 kHz WAV into a normalized clip.
 
-    Supports 16/24/32-bit integer and 32-bit float PCM. Integer samples are
-    scaled by the type's full range, so int16 -32768 becomes exactly -1.0.
-    Non-24 kHz files are rejected rather than resampled, and so is a file
-    cut short of the size its data chunk declares. Its SeldkitErrors
-    name the path, as does the OSError of a file it cannot open; any other
-    exception scipy raises while parsing is a MalformedWav.
-    """
-    _check_data_size(path)
-    # imported here, so only extract loads scipy.io (and scipy.sparse with it);
-    # outside the try, as a failed import is no fault of the file
-    from scipy.io import wavfile
-
-    try:
-        rate, data = wavfile.read(os.fspath(path))
-    except (OSError, MemoryError):
-        raise
-    except Exception as exc:  # scipy's parse failures have no common type
-        raise MalformedWav(f"{path}: {exc}") from exc
-
-    if data.ndim != 2 or data.shape[1] != N_CHANNELS:
-        n_ch = 1 if data.ndim == 1 else data.shape[1]
-        raise WrongChannelCount(f"{path}: expected {N_CHANNELS} channels, got {n_ch}")
-    if rate != SAMPLE_RATE:
-        raise WrongSampleRate(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-
-    if data.dtype not in _INT_SCALE and data.dtype != np.float32:
-        raise MalformedWav(
-            f"{path}: unsupported sample format {data.dtype} "
-            "(need 16/24/32-bit int or 32-bit float PCM)"
-        )
-    samples = data.astype(np.float64)
-    if data.dtype in _INT_SCALE:
-        samples /= _INT_SCALE[data.dtype]
+    Reads little-endian RIFF and RF64 files of 16/24/32-bit int or 32-bit
+    float samples in one walk over the chunks; int samples are scaled by
+    their container's full range, so int16 -32768 is exactly -1.0.
+    Rejected, with the path named, never repaired: another channel count
+    (checked before the rate), rate or format; anything but one fmt chunk,
+    then one data chunk; a data chunk declaring more bytes than follow it
+    or ending in a part frame; a chunk header cut short."""
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head, rf64_size, width, data = fh.read(36), None, None, None
+        if (len(head) < 36 or head[:4] not in (b"RIFF", b"RF64") or head[8:12] != b"WAVE"
+                or head[:4] == b"RF64" and head[12:16] != b"ds64"):
+            raise MalformedWav(f"{path}: not a little-endian RIFF or RF64 WAVE file")
+        end, offset = struct.unpack_from("<I", head, 4)[0] + 8, 12
+        if head[:4] == b"RF64":  # ds64: first, holds the sizes, stepped over as scipy does
+            ds64_size, riff_size, rf64_size = struct.unpack_from("<IQQ", head, 16)
+            end, offset = riff_size + 8, 20 + ds64_size
+        while offset < min(end, file_size):
+            fh.seek(offset)
+            if len(head := fh.read(8)) < 8:
+                raise MalformedWav(f"{path}: chunk header cut short at byte {offset}")
+            name, size = struct.unpack("<4sI", head)
+            offset += 8
+            if (name == b"fmt " and width
+                    or name == b"data" and (width is None or data is not None)):
+                raise MalformedWav(f"{path}: {name.decode()!r} chunk out of place")
+            if name == b"fmt ":
+                tag, width = _sample_format(fh.read(min(size, 40)), path)
+            elif name == b"data":
+                size = size if rf64_size is None else rf64_size
+                if size > file_size - offset:
+                    raise MalformedWav(f"{path}: data chunk declares {size} bytes "
+                                       f"but {file_size - offset} follow it")
+                if size % (N_CHANNELS * width):
+                    raise MalformedWav(
+                        f"{path}: data chunk of {size} bytes ends in a part frame")
+                data = np.fromfile(fh, np.uint8, size).reshape(-1, width)
+            offset += size + size % 2
+    if data is None:
+        raise MalformedWav(f"{path}: no data chunk")
+    if width == 3:  # widened into an int32's top three bytes, as scipy does
+        data = np.pad(data, ((0, 0), (1, 0)))
+    data = data.view("<f4" if tag == 3 else f"<i{data.shape[1]}")
+    samples = data.reshape(-1, N_CHANNELS).astype(np.float64)
+    if tag == 1:
+        samples /= 2.0 ** (8 * data.itemsize - 1)
     try:
         return MultichannelClip._taking(samples.T)
     except SeldkitError as exc:  # too short or non-finite
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _check_data_size(path) -> None:
-    """Raise MalformedWav when the WAV's data chunk declares more bytes than
-    follow it.
-
-    scipy reads such a file short, with at most a warning; a warnings
-    filter is process-wide state that extract's reader threads would
-    share, so the chunk list is walked here instead. Any other defect is
-    left to scipy to report.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        form = fh.read(12)[:4]
-        order = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}.get(form)
-        rf64_data = b""
-        while order and len(head := fh.read(8)) == 8:
-            declared = struct.unpack(order + "I", head[4:])[0]
-            start = fh.tell()
-            if head[:4] == b"ds64":  # RF64 keeps the data size here
-                rf64_data = fh.read(16)[8:]
-            elif head[:4] == b"data":
-                if form == b"RF64" and len(rf64_data) == 8:
-                    declared = struct.unpack("<Q", rf64_data)[0]
-                if declared > size - start:
-                    raise MalformedWav(
-                        f"{path}: data chunk declares {declared} bytes "
-                        f"but {size - start} follow it"
-                    )
-                return
-            fh.seek(start + declared + declared % 2)
+def _sample_format(fmt, path):
+    """The format tag and bytes per sample of a fmt chunk's first 40 bytes."""
+    if len(fmt) < 16:
+        raise MalformedWav(f"{path}: fmt chunk of {len(fmt)} bytes, under 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    # EXTENSIBLE: the tag opens the subformat GUID {tag-0000-0010-8000-00AA00389B71}
+    if (tag == 0xFFFE and fmt[28:] == b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+            and struct.unpack_from("<H", fmt, 16)[0] >= 22):
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if channels != N_CHANNELS:
+        raise WrongChannelCount(f"{path}: expected {N_CHANNELS} channels, got {channels}")
+    if rate != SAMPLE_RATE:
+        raise WrongSampleRate(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
+    width = block_align // N_CHANNELS  # bytes per sample
+    if not (width * N_CHANNELS == block_align and byte_rate == rate * block_align
+            and (tag == 1 and width in (2, 3, 4) and 8 < bits <= 8 * width
+                 or tag == 3 and width == 4 and bits == 32)):
+        raise MalformedWav(f"{path}: unsupported sample format {tag:#06x}, {bits} bits in "
+                           f"{block_align}-byte frames; need 16/24/32-bit int, 32-bit float")
+    return tag, width
 
 
 _EVENT_COLUMNS = (("frame", np.int64), ("class_id", np.int64),

@@ -3,7 +3,6 @@
 import os
 import re
 import struct
-import sys
 import warnings
 
 import numpy as np
@@ -222,16 +221,6 @@ class TestReadFoaWav:
         with pytest.raises(MalformedWav):
             read_foa_wav(path)
 
-    def test_failed_scipy_import_is_no_fault_of_the_file(self, tmp_path,
-                                                         monkeypatch):
-        # the reader imports scipy.io on its first call; an install without
-        # it is an internal error (exit 2), not a malformed WAV (exit 1)
-        path = tmp_path / "ok.wav"
-        wavfile.write(path, 24000, np.zeros((600, 4), dtype=np.int16))
-        monkeypatch.setitem(sys.modules, "scipy.io", None)
-        with pytest.raises(ImportError):
-            read_foa_wav(path)
-
     @staticmethod
     def int16_wav(claimed, payload, riff_size=None, rf64=False):
         """A 4-channel 24 kHz int16 WAV whose data chunk declares claimed
@@ -271,6 +260,18 @@ class TestReadFoaWav:
         assert clip.samples[1, 0] == 1 / 2 ** 15
         path.write_bytes(self.int16_wav(len(payload) + 1, payload, rf64=rf64))
         with pytest.raises(MalformedWav, match="declares 16001 bytes but 16000"):
+            read_foa_wav(path)
+
+    @pytest.mark.parametrize("second", [4000, 0], ids=["cut_short", "intact"])
+    def test_second_data_chunk_rejected(self, tmp_path, second):
+        # one data chunk per file: a second, cut short (it declares 4,000
+        # more bytes than follow it) or intact, is refused, not read
+        payload = np.arange(8000, dtype="<i2").tobytes()
+        extra = b"data" + struct.pack("<I", len(payload) + second) + payload
+        path = tmp_path / "two.wav"
+        path.write_bytes(self.int16_wav(len(payload), payload + extra))
+        with pytest.raises(MalformedWav,
+                           match=f"^{re.escape(str(path))}: 'data' chunk out of place"):
             read_foa_wav(path)
 
 
