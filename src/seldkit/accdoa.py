@@ -1,9 +1,9 @@
 """Activity-coupled Cartesian DOA vectors.
 
-An ACCDOA tensor has shape (3, n_classes, n_label_frames): one Cartesian
-unit vector per class per 100 ms label frame. Vector length doubles as the
-detection activity, so a class is "on" in a frame exactly when its vector
-norm exceeds the detection threshold. Inactive cells are exact zeros.
+An ACCDOA tensor has shape (3, 13, n_label_frames): one Cartesian unit
+vector per STARSS22 class (N_CLASSES) per 100 ms label frame. Its length is
+the detection activity, so a class is "on" in a frame exactly when its
+vector norm exceeds the detection threshold. Inactive cells are exact zeros.
 """
 
 from __future__ import annotations
@@ -86,23 +86,22 @@ def unit_vector_to_doa(vecs) -> tuple:
     return azimuth, elevation
 
 
-def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Encode events into an ACCDOA tensor (3, n_classes, n_frames).
+def encode(events, n_frames: int) -> np.ndarray:
+    """Encode events into an ACCDOA tensor (3, N_CLASSES, n_frames).
 
-    Each event must lie in [0, n_frames) x [0, n_classes), one per (frame,
+    Each event must lie in [0, n_frames) x [0, N_CLASSES), one per (frame,
     class) cell: two same-class sources do not fit, so they are an error,
     not a merge. Errors name the first offending event in input order.
     """
-    if n_frames < 0 or n_classes < 0:
-        raise SeldkitError(f"frame and class counts must be non-negative, "
-                           f"got {n_frames} and {n_classes}")
-    tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
+    if n_frames < 0:
+        raise SeldkitError(f"frame count must be non-negative, got {n_frames}")
+    tensor = np.zeros((3, N_CLASSES, n_frames), dtype=np.float64)
     ev = Events.of(events)
     order = _row_order(ev.frame, ev.class_id)  # stable: a cell's rows in input order
     repeat = np.empty(len(ev), dtype=bool)
     repeat[order] = ~_first_of_runs(ev.frame[order], ev.class_id[order])
     bad = ((ev.frame < 0) | (ev.frame >= n_frames) | (ev.class_id < 0)
-           | (ev.class_id >= n_classes) | repeat)
+           | (ev.class_id >= N_CLASSES) | repeat)
     end = int(np.argmax(bad)) if bad.any() else len(ev)
     # a bad direction (elevation outside [-90, 90], azimuth not finite) before
     # the first bad row is named first
@@ -111,23 +110,24 @@ def encode(events, n_frames: int, n_classes: int = N_CLASSES) -> np.ndarray:
         f, c = int(ev.frame[end]), int(ev.class_id[end])
         if not 0 <= f < n_frames:
             raise FrameOutOfRange(f"event frame {f} outside [0, {n_frames})")
-        if not 0 <= c < n_classes:
-            raise ClassOutOfRange(f"event class {c} outside [0, {n_classes})")
+        if not 0 <= c < N_CLASSES:
+            raise ClassOutOfRange(f"event class {c} outside [0, {N_CLASSES})")
         raise SameClassOverlap(f"two events for class {c} in frame {f}")
     tensor[:, ev.class_id, ev.frame] = vectors.T
     return tensor
 
 
 def decode(tensor, threshold: float = 0.5) -> Events:
-    """Decode an ACCDOA tensor into events where the vector norm > threshold.
+    """Decode a (3, N_CLASSES, n_frames) ACCDOA tensor into events where the
+    vector norm > threshold; another shape raises ShapeMismatch.
 
     The comparison is strict, so a threshold of 1.0 silences even exact unit
     vectors. Thresholds below 1e-9 are rejected: shorter vectors have no
-    direction to decode. So are nan and inf, which no norm exceeds. A
-    tensor holding a cell whose norm is not finite (a nan or inf entry, or
-    one too large to square) is rejected with a SeldkitError naming the
-    first such cell in (frame, class) order, rather than decoded as silence
-    or as a nan direction. Returned events are sorted by (frame, class).
+    direction to decode. So are nan and inf, which no norm exceeds. A tensor
+    holding a cell whose norm is not finite (a nan or inf entry, or one too
+    large to square) is rejected with a SeldkitError naming the first such
+    cell in (frame, class) order, rather than decoded as silence or as a nan
+    direction. Returned events are sorted by (frame, class).
     """
     return _decode(tensor, threshold)[0]
 
@@ -143,10 +143,10 @@ def _decode(tensor, threshold: float) -> tuple:
             "vector that still carries a direction"
         )
     arr = np.asarray(tensor, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ShapeMismatch(f"expected (3, n_classes, n_frames), got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[:2] != (3, N_CLASSES):
+        raise ShapeMismatch(f"expected (3, {N_CLASSES}, n_frames), got {arr.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        norms = np.linalg.norm(arr, axis=0).T  # (n_frames, n_classes)
+        norms = np.linalg.norm(arr, axis=0).T  # (n_frames, N_CLASSES)
     finite = np.isfinite(norms)
     if not finite.all():
         frame, class_id = np.argwhere(~finite)[0]

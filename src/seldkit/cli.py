@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .dataset_io import (
 from .errors import SeldkitError, ShapeMismatch
 
 # The most array elements a flag may size (1 GiB as float64): encode's
-# --frames and --classes, gradcheck's --shape. Checked before allocating,
-# so an oversized flag is an input error rather than a MemoryError.
+# --frames, gradcheck's --shape. Checked before allocating, so an oversized
+# flag is an input error rather than a MemoryError.
 _FLAG_ELEMENT_BUDGET = 2 ** 27
 
 
@@ -45,14 +46,16 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args) or 0
-    except (SeldkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # invariant violations, not input problems
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # each warning the command raises is one line
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args) or 0
+        except (SeldkitError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # invariant violations, not input problems
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
 
 @functools.cache
@@ -88,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="label CSV -> ACCDOA tensor")
     p.add_argument("labels", help="label CSV")
     p.add_argument("--frames", type=int, required=True, help="label frame count")
-    p.add_argument("--classes", type=int, default=N_CLASSES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
@@ -213,12 +215,9 @@ def cmd_augment(args) -> int:
 
 def cmd_encode(args) -> int:
     _check_outputs([("labels", args.labels)], [("--out", args.out)])
-    # negative counts are left to accdoa.encode's own message
-    _check_budget("--frames and --classes",
-                  3 * max(args.classes, 0) * max(args.frames, 0))
-    events = read_label_csv(args.labels, n_classes=args.classes)
-    tensor = accdoa.encode(events, args.frames, args.classes)
-    write_feature_file(tensor, args.out)
+    _check_budget("--frames", 3 * N_CLASSES * args.frames)  # encode refuses a negative one
+    events = read_label_csv(args.labels)
+    write_feature_file(accdoa.encode(events, args.frames), args.out)
     print(f"wrote {args.out} ({len(events)} events, {args.frames} frames)")
     return 0
 

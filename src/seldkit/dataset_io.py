@@ -38,7 +38,7 @@ from .errors import (
 
 SAMPLE_RATE = 24000
 N_CHANNELS = 4
-N_CLASSES = 13
+N_CLASSES = 13  # the class count: STARSS22's 13 sound event classes
 
 _MAGIC = b"SLSA"
 _VERSION = 1
@@ -154,7 +154,8 @@ def read_foa_wav(path) -> MultichannelClip:
     if width == 3:  # widened into an int32's top three bytes, as scipy does
         data = np.pad(data, ((0, 0), (1, 0)))
     data = data.view("<f4" if tag == 3 else f"<i{data.shape[1]}")
-    samples = data.reshape(-1, N_CHANNELS).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN: refused as non-finite below
+        samples = data.reshape(-1, N_CHANNELS).astype(np.float64)
     if tag == 1:
         samples /= 2.0 ** (8 * data.itemsize - 1)
     try:
@@ -250,11 +251,11 @@ def _exact_int64(name: str, values) -> np.ndarray:
 _LABEL_BYTES = b"0123456789,-\n"
 
 
-def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
+def read_label_csv(path) -> Events:
     """Read a DCASE-style label CSV: frame,class,source,azimuth,elevation.
 
-    The source/track column is discarded. Azimuths are wrapped into
-    [-180, 180). Rows that become exact duplicates after that are dropped.
+    Classes lie in [0, N_CLASSES); the source column is discarded. Azimuths
+    are wrapped into [-180, 180); rows that then repeat exactly are dropped.
     Returns events sorted by (frame, class, azimuth, elevation).
 
     A file of digits, commas, minus signs and newlines (LF or CRLF) is
@@ -276,11 +277,11 @@ def read_label_csv(path, n_classes: int = N_CLASSES) -> Events:
             pass
     if rows is not None and rows.shape[1] == 5:
         frame, class_id, _source, az, el = rows.T
-        if (frame.min() >= 0 and class_id.min() >= 0 and class_id.max() < n_classes
+        if (frame.min() >= 0 and class_id.min() >= 0 and class_id.max() < N_CLASSES
                 and el.min() >= -90 and el.max() < 90):
             az = normalize_azimuth(az.astype(np.float64))
             return Events(*_sorted_unique(frame, class_id, az, el))
-    return _read_label_rows(path, n_classes)
+    return _read_label_rows(path)
 
 
 def write_label_csv(events, path) -> None:
@@ -291,18 +292,18 @@ def write_label_csv(events, path) -> None:
     precision stays with the in-memory events); azimuth is re-wrapped after
     rounding and elevation is clamped to [-90, 89] so the file always
     re-reads cleanly. np.rint rounds half to even, like Python's round. A
-    negative frame or class, which the reader rejects, raises
-    FrameOutOfRange or ClassOutOfRange naming the first one before any byte
-    is written; classes of 13 and above stay writable, as
-    read_label_csv(n_classes=...) reads them.
+    negative frame, or a class outside [0, N_CLASSES), which the reader
+    rejects, raises FrameOutOfRange or ClassOutOfRange naming the first one
+    before any byte is written.
     """
     events = Events.of(events)
-    for column, name, error in ((events.frame, "frame", FrameOutOfRange),
-                                (events.class_id, "class", ClassOutOfRange)):
-        negative = column < 0
-        if negative.any():
-            raise error(f"refusing to write event {name} "
-                        f"{column[np.argmax(negative)]}, below 0")
+    for column, name, error, end in ((events.frame, "frame", FrameOutOfRange, np.inf),
+                                     (events.class_id, "class", ClassOutOfRange, N_CLASSES)):
+        bad = (column < 0) | (column >= end)
+        if bad.any():
+            value = column[np.argmax(bad)]
+            raise error(f"refusing to write event {name} {value}, "
+                        f"{'below 0' if value < 0 else f'outside [0, {end})'}")
     if not (np.isfinite(events.azimuth).all() and np.isfinite(events.elevation).all()):
         raise SeldkitError("refusing to write a non-finite direction")
     az = normalize_azimuth(np.rint(events.azimuth)).astype(np.int64)
@@ -378,7 +379,7 @@ def _first_of_runs(*columns) -> np.ndarray:
     return first
 
 
-def _read_label_rows(path, n_classes: int) -> Events:
+def _read_label_rows(path) -> Events:
     """read_label_csv through the csv module, one row at a time."""
     columns = ([], [], [], [])
     with _open_text_input(path) as fh:
@@ -395,9 +396,9 @@ def _read_label_rows(path, n_classes: int) -> Events:
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
             if not 0 <= frame < 2 ** 63:
                 raise MalformedRow(f"{path}:{lineno}: frame {frame} outside [0, 2^63)")
-            if not 0 <= class_id < n_classes:
+            if not 0 <= class_id < N_CLASSES:
                 raise ClassOutOfRange(
-                    f"{path}:{lineno}: class {class_id} outside [0, {n_classes})"
+                    f"{path}:{lineno}: class {class_id} outside [0, {N_CLASSES})"
                 )
             if not -90 <= el < 90:
                 raise MalformedRow(f"{path}:{lineno}: elevation {el} outside [-90, 90)")

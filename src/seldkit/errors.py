@@ -25,7 +25,7 @@ class MalformedWav(SeldkitError):
 
 
 class ClassOutOfRange(SeldkitError):
-    """Label row references a class id outside [0, n_classes)."""
+    """Label row or event references a class id outside [0, N_CLASSES)."""
 
 
 class MalformedRow(SeldkitError):

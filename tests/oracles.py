@@ -281,24 +281,19 @@ def scalar_decode(tensor, threshold):
     return events
 
 
-def loop_encode(events, n_frames, n_classes=13):
+def loop_encode(events, n_frames):
     """accdoa.encode as one Python step per event, the way it was written
     before it became columnar: the same tensor and, for the first offending
     event, the same error class and message."""
-    if n_frames < 0 or n_classes < 0:
-        raise SeldkitError(
-            f"frame and class counts must be non-negative, got {n_frames} "
-            f"and {n_classes}"
-        )
-    tensor = np.zeros((3, n_classes, n_frames), dtype=np.float64)
+    if n_frames < 0:
+        raise SeldkitError(f"frame count must be non-negative, got {n_frames}")
+    tensor = np.zeros((3, 13, n_frames), dtype=np.float64)
     occupied = set()
     for ev in events:
         if not 0 <= ev.frame < n_frames:
             raise FrameOutOfRange(f"event frame {ev.frame} outside [0, {n_frames})")
-        if not 0 <= ev.class_id < n_classes:
-            raise ClassOutOfRange(
-                f"event class {ev.class_id} outside [0, {n_classes})"
-            )
+        if not 0 <= ev.class_id < 13:
+            raise ClassOutOfRange(f"event class {ev.class_id} outside [0, 13)")
         cell = (ev.frame, ev.class_id)
         if cell in occupied:
             raise SameClassOverlap(

@@ -154,9 +154,11 @@ class TestEncode:
             encode([Event(10, 0, 0, 0)], 10)
 
     def test_class_out_of_range(self):
-        with pytest.raises(ClassOutOfRange):
-            encode([Event(0, 13, 0, 0)], 10)
-        assert encode([Event(0, 13, 0, 0)], 10, n_classes=14).shape == (3, 14, 10)
+        for class_id in (13, -1):
+            with pytest.raises(ClassOutOfRange,
+                               match=rf"^event class {class_id} outside \[0, 13\)$"):
+                encode([Event(0, 12, 0, 0), Event(1, class_id, 0, 0)], 10)
+        assert encode([Event(0, 12, 0, 0)], 10).shape == (3, 13, 10)
 
 
 class TestDecode:

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +100,16 @@ class TestEncodeDecodeCmd:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_classes_flag(self, tmp_path, capsys):
+        # the class count is STARSS22's 13, not a flag
         csv_in = tmp_path / "ref.csv"
-        csv_in.write_text("0,13,0,10,5\n", encoding="utf-8")
+        csv_in.write_text("0,12,0,10,5\n", encoding="utf-8")
         tensor = tmp_path / "t.slsa"
-        rc = cli.main(["encode", str(csv_in), "--frames", "2",
-                       "--classes", "14", "--out", str(tensor)])
-        assert rc == 0
-        capsys.readouterr()
-        assert read_feature_file(tensor).shape == (3, 14, 2)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["encode", str(csv_in), "--frames", "5",
+                      "--classes", "13", "--out", str(tensor)])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --classes 13" in capsys.readouterr().err
+        assert not tensor.exists()
 
 
 def write_raw_slsa(path, tensor):
@@ -500,6 +503,21 @@ class TestExtractCmd:
         assert sorted(p.name for p in out_dir.iterdir()) == \
             [Path(rows[0][0]).stem + ".slsa"]
 
+    def test_signalling_nan_is_one_error_line(self, tmp_path, capsys):
+        # numpy's cast warning used to come first, naming a source line
+        manifest, rows = self.make_scene(tmp_path, n_clips=1)
+        wav = Path(rows[0][0])
+        samples = np.zeros((4, 600), dtype=np.float32)
+        samples.view(np.uint32)[1, 5] = 0x7FA00000
+        helpers.write_wav(wav, samples)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["extract", str(manifest), str(tmp_path / "out")])
+        assert rc == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: {wav}: clip contains non-finite samples\n")
+
     def test_thread_count_validated(self, tmp_path, capsys):
         manifest, _ = self.make_scene(tmp_path, n_clips=1)
         rc = cli.main(["extract", str(manifest), str(tmp_path / "out"),
@@ -677,17 +695,26 @@ class TestAugmentCmd:
         assert "together" in capsys.readouterr().err
 
     def test_mode_all_warns(self, tmp_path, capsys):
+        # the documented warning is one "warning:" line, not Python's
+        # two-line form naming a source line
         f_in, l_in = make_feature_label_pair(tmp_path, seed=15)
         config = tmp_path / "id.cfg"
         config.write_text(IDENTITY_CONFIG, encoding="utf-8")
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = cli.main(["augment", "--features", str(f_in),
                            "--labels", str(l_in),
                            "--out-features", str(tmp_path / "of.slsa"),
                            "--out-labels", str(tmp_path / "ol.slsa"),
                            "--config", str(config), "--mode", "all"])
         assert rc == 0
-        capsys.readouterr()
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: mode=all applies frame shift and time masking together, "
+            "a combination observed to degrade training\n")
+        assert captured.out == (f"wrote {tmp_path / 'of.slsa'} and "
+                                f"{tmp_path / 'ol.slsa'} (seed 17)\n")
 
     def test_partner_of_another_shape_exits_one_whatever_the_seed(self, tmp_path,
                                                                  capsys):
@@ -847,6 +874,54 @@ class TestGradcheckCmd:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestOneClassSet:
+    """Every command takes STARSS22's class ids 0-12 and refuses any other:
+    a class-13 label file or a (3, 14, T) tensor is an input error wherever
+    it is read, with one "error:" line and no output file."""
+
+    def test_last_class_round_trips(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("0,12,0,10,5\n3,12,0,-20,30\n7,0,0,170,-89\n", encoding="utf-8")
+        tensor, back = tmp_path / "t.slsa", tmp_path / "back.csv"
+        assert cli.main(["encode", str(ref), "--frames", "10", "--out", str(tensor)]) == 0
+        assert cli.main(["decode", str(tensor), "--out", str(back)]) == 0
+        assert cli.main(["score", str(back), str(ref)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "ER 0.00 F1 100.0 LE 0.0 LR 100.0"
+        assert read_feature_file(tensor).shape == (3, 13, 10)
+        assert list(read_label_csv(back)) == list(read_label_csv(ref))
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "{csv13}", "--frames", "10", "--out", "{out}"],
+        ["score", "{csv13}", "{ref}", "--report", "{out}"],
+        ["score", "{ref}", "{csv13}", "--report", "{out}"],
+        ["score", "{t13}", "{csv13}", "--sweep", "--report", "{out}"],
+        ["score", "{t14}", "{ref}", "--sweep", "--report", "{out}"],
+        ["decode", "{t14}", "--out", "{out}"],
+        ["ensemble", "{t14}", "--out", "{out}", "--csv", "{csv_out}"],
+    ], ids=["encode", "score_pred", "score_ref", "score_sweep_ref", "score_sweep",
+            "decode", "ensemble_csv"])
+    def test_another_class_is_refused(self, tmp_path, capsys, argv):
+        paths = {name: tmp_path / name for name in ("csv13", "ref", "t13", "t14", "out",
+                                                    "csv_out")}
+        paths["csv13"].write_text("0,12,0,10,5\n4,13,0,10,5\n", encoding="utf-8")
+        paths["ref"].write_text("0,12,0,10,5\n", encoding="utf-8")
+        t14 = np.zeros((3, 14, 10), dtype=np.float32)
+        t14[0, [12, 13], 4] = 1.0
+        write_feature_file(t14[:, :13], paths["t13"])
+        write_feature_file(t14, paths["t14"])
+        rc = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1, captured
+        assert captured.out == ""
+        message = ("csv13:2: class 13 outside [0, 13)" if "{csv13}" in argv
+                   else "expected (3, 13, n_frames), got (3, 14, 10)")
+        assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+        assert captured.err.count("\n") == 1
+        assert not paths["out"].exists() and not paths["csv_out"].exists()
+
+
 class TestNumericFlags:
     """A numeric flag outside its domain is an input error: exit 1 with one
     "error:" line and no output file."""
@@ -857,16 +932,15 @@ class TestNumericFlags:
         (["ensemble", "{t}", "--out", "{avg}", "--threshold", "nan",
           "--csv", "{out}"], "threshold"),
         (["encode", "{ref}", "--frames", "-1", "--out", "{out}"], "non-negative"),
-        (["encode", "{empty}", "--frames", "5", "--classes", "-1",
-          "--out", "{out}"], "non-negative"),
-        (["encode", "{empty}", "--frames", "-200000000000", "--classes", "-1",
-          "--out", "{out}"], "non-negative"),
+        # a count so far below 0 that the budget's product is far below it
+        (["encode", "{empty}", "--frames", "-200000000000", "--out", "{out}"],
+         "non-negative"),
         (["gradcheck", "--ratio", "0"], ">= 1"),
         (["gradcheck", "--seeds", "0"], ">= 1"),
         (["gradcheck", "--seeds", "-1"], ">= 1"),
         (["gradcheck", "--shape", "4,6,0"], ">= 1"),
     ], ids=["decode_nan", "decode_inf", "ensemble_csv_nan", "encode_frames",
-            "encode_classes", "encode_both_negative", "gradcheck_ratio",
+            "encode_frames_far_negative", "gradcheck_ratio",
             "gradcheck_seeds_0", "gradcheck_seeds_neg", "gradcheck_shape"])
     def test_exit_one(self, tmp_path, capsys, argv, message):
         events = nonempty_events(41)
@@ -893,14 +967,12 @@ class TestFlagBudget:
     MemoryError there and never loads the machine."""
 
     @pytest.mark.parametrize("argv, flag", [
-        (["encode", "{ref}", "--frames", "100000000000", "--out", "{out}"],
-         "--frames and --classes"),
-        (["encode", "{ref}", "--frames", "20", "--classes", "10000000000",
-          "--out", "{out}"], "--frames and --classes"),
+        # the fewest frames whose 3 x 13 x frames tensor is over the budget
+        (["encode", "{ref}", "--frames", str(cli._FLAG_ELEMENT_BUDGET // 39 + 1),
+          "--out", "{out}"], "--frames"),
         (["gradcheck", "--shape", "4000,4000,4000"], "--shape"),
         (["gradcheck", "--shape", "1000000,1,1", "--ratio", "1"], "--shape"),
-    ], ids=["encode_frames", "encode_classes", "gradcheck_shape",
-            "gradcheck_weights"])
+    ], ids=["encode_frames", "gradcheck_shape", "gradcheck_weights"])
     def test_exit_one_under_capped_memory(self, tmp_path, argv, flag):
         resource = pytest.importorskip("resource")
 

@@ -4,8 +4,10 @@ bytes they cannot use as input errors.
 A valid manifest (one readable clip, one missing, one directory) and a
 valid augment config get bytes overwritten (NUL, quotes, separators, line
 ends, bytes that are not UTF-8, any others), inserted and cut off. Each run
-of cli.main must exit 0, or 1 with only "error:" lines on stderr; exit 2
-would be an internal error. A run that exits 1 from augment writes nothing.
+of cli.main must exit 0, or 1 with "error:" lines on stderr; exit 2 would be
+an internal error. Besides those, stderr may hold only the documented
+mode=all "warning:" line, and no Python warning may escape. A run that exits
+1 from augment writes nothing.
 """
 
 import contextlib
@@ -50,18 +52,26 @@ def mutations(base):
                      st.one_of(st.none(), st.integers(0, len(base))))
 
 
+MODE_ALL_WARNING = ("warning: mode=all applies frame shift and time masking together, "
+                    "a combination observed to degrade training")
+
+
 def run(argv):
-    """cli.main's exit code, after checking it is 0 with nothing on stderr
-    or 1 with only error lines there; warnings are recorded apart."""
+    """cli.main's exit code, after checking it is 0, or 1 with error lines on
+    stderr, that any other stderr line is the mode=all warning, and that no
+    Python warning escaped."""
     err = io.StringIO()
-    with (warnings.catch_warnings(record=True), contextlib.redirect_stdout(io.StringIO()),
-          contextlib.redirect_stderr(err)):
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
         warnings.simplefilter("always")
         rc = cli.main([str(arg) for arg in argv])
     lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
     assert rc in (0, 1), lines
-    assert all(line.startswith("error: ") for line in lines), lines
-    assert bool(lines) == (rc == 1), lines
+    assert caught == [], [str(w.message) for w in caught]
+    assert all(line in errors or line == MODE_ALL_WARNING for line in lines), lines
+    assert lines.count(MODE_ALL_WARNING) <= 1, lines
+    assert bool(errors) == (rc == 1), lines
     return rc
 
 

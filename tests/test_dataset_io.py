@@ -211,6 +211,18 @@ class TestReadFoaWav:
         with pytest.raises(SeldkitError, match=f"^{re.escape(str(bad))}: clip contains"):
             read_foa_wav(bad)
 
+    def test_signalling_nan_refused_without_a_warning(self, tmp_path):
+        # its float64 cast raises numpy's invalid flag, which used to print
+        # a RuntimeWarning ahead of the clip's own error
+        path = tmp_path / "snan.wav"
+        samples = np.zeros((600, 4), dtype=np.float32)
+        samples.view(np.uint32)[5, 1] = 0x7FA00000
+        wavfile.write(path, 24000, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeldkitError, match=f"^{re.escape(str(path))}: clip contains"):
+                read_foa_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_foa_wav(tmp_path / "nope.wav")
@@ -448,14 +460,13 @@ class TestReadLabelCsv:
 
     def test_class_out_of_range(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("0,13,0,10,5\n")
-        with pytest.raises(ClassOutOfRange):
-            read_label_csv(path)
-        path.write_text("0,-1,0,10,5\n")
-        with pytest.raises(ClassOutOfRange):
-            read_label_csv(path)
-        path.write_text("0,13,0,10,5\n")
-        assert len(read_label_csv(path, n_classes=14)) == 1
+        for class_id in (13, -1):
+            path.write_text(f"0,12,0,10,5\n0,{class_id},0,10,5\n")
+            with pytest.raises(ClassOutOfRange,
+                               match=rf":2: class {class_id} outside \[0, 13\)$"):
+                read_label_csv(path)
+        path.write_text("0,12,0,10,5\n")
+        assert len(read_label_csv(path)) == 1
 
     def test_elevation_bounds(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -595,22 +606,30 @@ class TestWriteLabelCsv:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_class_the_reader_takes_round_trips(self, tmp_path):
-        # classes of 13 and above stay writable: read_label_csv(n_classes=...)
-        # reads them back
-        events = [Event(0, 0, 10.0, 5.0), Event(0, 13, -20.0, 0.0),
-                  Event(2 ** 63 - 1, 40, 170.0, -90.0)]
+        events = [Event(0, c, 10.0 * c - 90.0, 5.0) for c in range(13)]
+        events.append(Event(2 ** 63 - 1, 12, 170.0, -90.0))
         path = tmp_path / "out.csv"
         write_label_csv(events, path)
-        assert list(read_label_csv(path, n_classes=41)) == events
-        with pytest.raises(ClassOutOfRange):
-            read_label_csv(path)
+        assert list(read_label_csv(path)) == events
+
+    @pytest.mark.parametrize("class_id", [13, 2 ** 63 - 1])
+    def test_class_the_reader_refuses_is_not_written(self, tmp_path, class_id):
+        # the reader takes classes 0-12 only, so the writer must not emit
+        # another: class 13 used to be written and then refused on reading
+        path = tmp_path / "out.csv"
+        rows = [Event(0, 12, 0.0, 0.0), Event(1, class_id, 0.0, 0.0), Event(2, -1, 0.0, 0.0)]
+        for events in (rows, Events.of(rows)):
+            with pytest.raises(ClassOutOfRange, match=f"^refusing to write event class "
+                                                      rf"{class_id}, outside \[0, 13\)$"):
+                write_label_csv(events, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bytes_match_one_f_string_per_row(self, tmp_path):
         rng = np.random.default_rng(5)
         n = 400
         events = Events(
             np.concatenate([rng.integers(0, 2 ** 63, n // 2), rng.integers(0, 50, n // 2)]),
-            rng.integers(0, 40, n),
+            rng.integers(0, 13, n),
             np.concatenate([rng.uniform(-540.0, 540.0, n - 8),
                             [-0.0, 0.0, -0.4, 179.5, 179.6, -180.4, -179.5, 540.0]]),
             np.concatenate([rng.uniform(-95.0, 95.0, n - 8),

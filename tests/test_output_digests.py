@@ -66,3 +66,39 @@ def test_against_lists_the_differing_entries(tool, tmp_path, monkeypatch, capsys
         "rerun differs: 0: b | stdout",
         f"differs from {expected}: 0: b | stdout",
         f"differs from {expected}: 0: c | stdout"]
+
+
+def test_read_expected_changes(tool, tmp_path):
+    path = tmp_path / "changes.txt"
+    path.write_text("# a comment\n\n0: decode a | stdout  # alters the count\n"
+                    "  1: score b c | out/r.csv\n#0: gone | stdout\n")
+    assert tool.read_expected_changes(path) == {"0: decode a | stdout",
+                                                "1: score b c | out/r.csv"}
+
+
+@pytest.mark.parametrize("listed, problems", [
+    # an unlisted difference fails
+    (set(), ["differs from p.json: 0: b | stdout"]),
+    # a listed one passes
+    ({"0: b | stdout"}, []),
+    # a listed key that does not differ fails, and a listed key this run
+    # does not produce is not checked
+    ({"0: a | stdout", "0: b | stdout", "7: other seed | stdout"},
+     ["listed in expected_digest_changes.txt but does not differ: 0: a | stdout"]),
+])
+def test_against_problems(tool, listed, problems):
+    parent = {"0: a | stdout": "1", "0: b | stdout": "2"}
+    mine = {"0: a | stdout": "1", "0: b | stdout": "3"}
+    assert tool.against_problems(parent, mine, listed, "p.json") == problems
+
+
+def test_against_reads_the_expected_changes_file(tool, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tool, "make_inputs", lambda seed, size: {})
+    monkeypatch.setattr(tool, "run_commands", lambda seed, size, truth: {"0: b | stdout": "3"})
+    listed = tmp_path / "changes.txt"
+    listed.write_text("0: b | stdout\n")
+    monkeypatch.setattr(tool, "EXPECTED_CHANGES", listed)
+    parent = tmp_path / "parent.json"
+    parent.write_text(json.dumps({"0: b | stdout": "2"}))
+    assert tool.main(["--against", str(parent)]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,13 +1,14 @@
 """The WAV reader and `seldkit extract` report any header bytes they cannot
 use as input errors, and the reader reads what scipy reads.
 
-int16, float32 (with non-finite samples), 24-bit, 20-bit in 3 bytes, 12-bit
-in 2 bytes, WAVE_FORMAT_EXTENSIBLE, RF64 and RIFX files, and files with a
-LIST chunk before the fmt chunk or an odd-sized one padded before the data,
-get header bytes overwritten, huge chunk sizes written over any field, and
-their tails cut off. read_foa_wav must return a clip or raise a
-SeldkitError, and extract must exit 0, or 1 with one "error:" line for the
-failed clip; exit 2 would be an internal error.
+int16, float32 (with non-finite samples, signalling NaNs among them),
+24-bit, 20-bit in 3 bytes, 12-bit in 2 bytes, WAVE_FORMAT_EXTENSIBLE, RF64
+and RIFX files, and files with a LIST chunk before the fmt chunk or an
+odd-sized one padded before the data, get header bytes overwritten, huge
+chunk sizes written over any field, and their tails cut off. read_foa_wav
+must return a clip or raise a SeldkitError, and extract must exit 0, or 1
+with one "error:" line for the failed clip; exit 2 would be an internal
+error. Neither may raise a Python warning.
 
 scipy.io.wavfile.read is the reference: read_foa_wav accepts no file that
 scipy, with a check that the first data chunk holds what it declares and
@@ -126,8 +127,9 @@ KINDS = ["int16", "int24", "int20", "int12", "float32", "extensible_int24",
 HUGE = st.sampled_from([b"\xff\xff\xff\xff", b"\xf0\xff\xff\xff", b"\x00\x00\x00\x80",
                         b"\x00\x00\x00\x00", b"\xff" * 8, b"\x00" * 7 + b"\x80"])
 PATCH = st.tuples(st.integers(0, 79), st.one_of(st.binary(min_size=1, max_size=4), HUGE))
+SIGNALLING_NAN = np.array(0x7FA00000, "<u4").view("<f4")[()]  # its cast to float64 warns
 NON_FINITE = st.tuples(st.integers(0, 4 * N_FRAMES - 1),
-                       st.sampled_from([np.nan, np.inf, -np.inf]))
+                       st.sampled_from([np.nan, np.inf, -np.inf, SIGNALLING_NAN]))
 
 
 @st.composite
@@ -179,7 +181,8 @@ def scipy_reference(path):
     if (data.ndim != 2 or data.shape[1] != 4 or rate != 24000
             or data.dtype not in (np.int16, np.int32, np.float32)):
         return None
-    samples = data.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN, refused below
+        samples = data.astype(np.float64)
     if data.dtype != np.float32:
         samples /= 2.0 ** (8 * data.itemsize - 1)
     try:
@@ -243,6 +246,7 @@ def test_reader_accepts_only_what_scipy_accepts_and_reads_it_alike(
 @example(ZERO_BLOCK_ALIGN)
 @example(F45)
 @example(base("float32", [(5, np.nan)]))
+@example(base("float32", [(5, SIGNALLING_NAN)]))
 @example(base("rf64")[:28] + b"\xff" * 8 + base("rf64")[36:])  # ds64 data size
 @example(base("int24")[:40] + b"\xff\xff\xff\xff" + base("int24")[44:])
 def test_any_header_bytes_exit_zero_or_one(tmp_path_factory, blob):
@@ -252,9 +256,9 @@ def test_any_header_bytes_exit_zero_or_one(tmp_path_factory, blob):
     wav.write_bytes(blob)
     manifest.write_text(f"audio_path,label_path,split\n{wav},,train\n")
     err = io.StringIO()
-    with (warnings.catch_warnings(record=True), contextlib.redirect_stdout(io.StringIO()),
-          contextlib.redirect_stderr(err)):
-        warnings.simplefilter("always")  # recorded, so stderr holds errors only
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
         try:
             read_foa_wav(wav)
             read_error = None
@@ -262,6 +266,7 @@ def test_any_header_bytes_exit_zero_or_one(tmp_path_factory, blob):
             read_error = exc
         rc = cli.main(["extract", str(manifest), str(out_dir)])
     lines = err.getvalue().splitlines()
+    assert caught == [], [str(w.message) for w in caught]
     assert rc in (0, 1), lines
     assert len(lines) == rc and all(line.startswith("error: ") for line in lines), lines
     if read_error is not None:

@@ -14,14 +14,17 @@ It prints one JSON object: for each command (keyed by seed and command
 line) the SHA-256 of its exit code and stdout, and of every file it wrote.
 Each seed runs twice, in fresh output directories. The script exits 1 when
 the rerun differs, when `--threads 1` and `2` differ, or, with
-`--against FILE`, when an entry differs from that file's; the differing
-entries are listed on stderr.
+`--against FILE`, when an entry differs from that file's and is not listed
+in tools/expected_digest_changes.txt, or is listed there and does not
+differ; each problem is one line on stderr. That file names the keys a
+change alters on purpose, one per line, `#` starting a comment; a listed
+key this run does not produce is not checked, so one list serves runs of
+other seeds and sizes.
 
 seldkit is imported from the path, so one script compares two trees:
 
-    PYTHONPATH=src python tools/output_digests.py --seeds 0 1 > mine.json
-    PYTHONPATH=../parent/src python tools/output_digests.py --seeds 0 1 \\
-        --against mine.json
+    PYTHONPATH=../parent/src python tools/output_digests.py --seeds 0 1 > parent.json
+    PYTHONPATH=src python tools/output_digests.py --seeds 0 1 --against parent.json
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import gen  # noqa: E402  (read-only: the benchmark's own input makers)
 
 from seldkit import cli  # noqa: E402
 
+EXPECTED_CHANGES = Path(__file__).resolve().parent / "expected_digest_changes.txt"
 THRESHOLDS = ("0.3", "0.5", "0.7")
 AUGMENT_MODES = ("fs_mm", "tm_mm", "all")
 
@@ -118,6 +122,23 @@ def thread_mismatches(digests: dict) -> list:
             and digests.get(key.replace(" --threads 1 ", " --threads 2 ")) != value]
 
 
+def read_expected_changes(path) -> set:
+    """The keys listed in path: one per line, blank lines and everything
+    after a `#` ignored."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {key for key in (line.split("#", 1)[0].strip() for line in lines) if key}
+
+
+def against_problems(expected: dict, digests: dict, listed: set, against: str) -> list:
+    """An entry that differs between the two runs and is not listed, and a
+    listed entry one of them produced that does not differ."""
+    keys = expected.keys() | digests.keys()
+    differing = {key for key in keys if expected.get(key) != digests.get(key)}
+    return ([f"differs from {against}: {key}" for key in sorted(differing - listed)]
+            + [f"listed in {EXPECTED_CHANGES.name} but does not differ: {key}"
+               for key in sorted((listed & keys) - differing)])
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -127,7 +148,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--size", choices=("tiny", "full"), default="tiny")
     parser.add_argument("--against", metavar="FILE",
-                        help="digests JSON to compare with; differing entries exit 1")
+                        help="digests JSON to compare with; an entry that differs and "
+                             f"is not listed in {EXPECTED_CHANGES.name}, or is listed "
+                             "and does not, exits 1")
     args = parser.parse_args(argv)
     expected = json.loads(Path(args.against).read_text()) if args.against else None
 
@@ -149,9 +172,8 @@ def main(argv=None) -> int:
 
     print(json.dumps(digests, indent=1, sort_keys=True))
     if expected is not None:
-        problems += [f"differs from {args.against}: {key}"
-                     for key in sorted(expected.keys() | digests.keys())
-                     if expected.get(key) != digests.get(key)]
+        problems += against_problems(expected, digests,
+                                     read_expected_changes(EXPECTED_CHANGES), args.against)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
