@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,9 +28,9 @@ from .errors import (
     TooShort,
 )
 from .accdoa import FEATURE_FRAMES_PER_LABEL_FRAME as FRAMES_PER_LABEL
-from .dataset_io import MultichannelClip, _open_text_input, normalize_azimuth
+from .dataset_io import MultichannelClip, normalize_azimuth
 
-MODES = ("fs_mm", "tm_mm", "all")
+MODES = ("fs_mm", "tm_mm")
 
 _COS = (1, 0, -1, 0)
 _SIN = (0, 1, 0, -1)
@@ -263,8 +262,7 @@ class AugmentConfig:
     """Knobs for augment_pipeline.
 
     mode picks which time-axis augmentation runs: "fs_mm" (frame shift,
-    the default), "tm_mm" (time masking) or "all" (both, discouraged: it
-    warns).
+    the default) or "tm_mm" (time masking).
     """
 
     cs_prob: float = 0.5
@@ -305,26 +303,9 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(AugmentConfig)}
 _CONFIG_TYPES["seed"] = int
 
 
-def parse_config_file(path) -> dict:
-    """Read a flat key=value config file; # starts a comment line."""
-    mapping = {}
-    with _open_text_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SeldkitError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in mapping:
-                raise SeldkitError(f"{path}:{lineno}: duplicate key {key!r}")
-            mapping[key] = value.strip()
-    return mapping
-
-
 def config_from_mapping(mapping) -> tuple:
-    """Build (AugmentConfig, seed) from string-valued key=value pairs.
+    """Build (AugmentConfig, seed) from string values keyed by knob name (a
+    value of None was not given), as the augment command's flags hold them.
 
     Unknown keys are an error: a typoed knob silently falling back to its
     default would unseat reproducibility.
@@ -350,8 +331,8 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     """Compose the augmentations stochastically on (features, labels).
 
     Order: channel swap (prob cs_prob, uniform pattern) -> pitch shift
-    (always, uniform in [-ps_range, ps_range]) -> frame shift and/or time
-    mask per config.mode -> Moderate Mixup with sample_b (prob mm_prob).
+    (always, uniform in [-ps_range, ps_range]) -> frame shift or time mask
+    per config.mode -> Moderate Mixup with sample_b (prob mm_prob).
     The draw order is fixed, so a given (config, seed) always produces the
     same output. sample_b may be None only when mm_prob is 0; when mm_prob
     is above 0 its feature and label shapes must equal sample_a's, whatever
@@ -368,14 +349,6 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
             raise SeldkitError("mm_prob > 0 requires a mixup partner sample")
         _check_same_shapes(feats, labs, *sample_b)
 
-    if config.mode == "all":
-        warnings.warn(
-            "mode=all applies frame shift and time masking together, "
-            "a combination observed to degrade training",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     if rng.random() < config.cs_prob:
         pattern = enumerate_swap_patterns()[int(rng.integers(16))]
         feats, labs = channel_swap(feats, labs, pattern)
@@ -384,28 +357,20 @@ def augment_pipeline(sample_a, sample_b, config: AugmentConfig, rng) -> tuple:
     feats = pitch_shift(feats, shift, config.ps_range)
 
     n_label_frames = labs.shape[2]
-    if config.mode in ("fs_mm", "all"):
-        if rng.random() < config.fs_prob:
-            offset = FRAMES_PER_LABEL * int(rng.integers(0, n_label_frames))
-            feats, labs = frame_shift(feats, labs, offset)
-    if config.mode in ("tm_mm", "all"):
-        if rng.random() < config.tm_prob:
-            n_frames = feats.shape[2]
-            lo = math.ceil(config.tm_ratio_min * n_frames / FRAMES_PER_LABEL
-                           - _RATIO_SLACK)
-            hi = math.floor(config.tm_ratio_max * n_frames / FRAMES_PER_LABEL
-                            + _RATIO_SLACK)
-            hi = min(hi, n_label_frames)
-            if lo <= hi:
-                mask_labels = int(rng.integers(lo, hi + 1))
-                start = int(rng.integers(0, n_label_frames - mask_labels + 1))
-                feats, labs = time_mask(
-                    feats,
-                    labs,
-                    FRAMES_PER_LABEL * start,
-                    FRAMES_PER_LABEL * mask_labels,
-                    (config.tm_ratio_min, config.tm_ratio_max),
-                )
+    if config.mode == "fs_mm" and rng.random() < config.fs_prob:
+        offset = FRAMES_PER_LABEL * int(rng.integers(0, n_label_frames))
+        feats, labs = frame_shift(feats, labs, offset)
+    if config.mode == "tm_mm" and rng.random() < config.tm_prob:
+        n_frames = feats.shape[2]
+        lo = math.ceil(config.tm_ratio_min * n_frames / FRAMES_PER_LABEL - _RATIO_SLACK)
+        hi = math.floor(config.tm_ratio_max * n_frames / FRAMES_PER_LABEL + _RATIO_SLACK)
+        hi = min(hi, n_label_frames)
+        if lo <= hi:
+            mask_labels = int(rng.integers(lo, hi + 1))
+            start = int(rng.integers(0, n_label_frames - mask_labels + 1))
+            feats, labs = time_mask(feats, labs, FRAMES_PER_LABEL * start,
+                                    FRAMES_PER_LABEL * mask_labels,
+                                    (config.tm_ratio_min, config.tm_ratio_max))
 
     if rng.random() < config.mm_prob:
         lam = sample_lambda(rng, config.mm_beta_alpha)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -46,16 +45,14 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():  # each warning the command raises is one line
-        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-        try:
-            return args.func(args) or 0
-        except (SeldkitError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:  # invariant violations, not input problems
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args) or 0
+    except (SeldkitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # invariant violations, not input problems
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 @functools.cache
@@ -81,10 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-labels", required=True)
     p.add_argument("--partner-features", help="mixup partner feature file")
     p.add_argument("--partner-labels", help="mixup partner label file")
-    p.add_argument("--config", help="key=value file with augmentation knobs; "
-                   "a flag per key overrides it (--cs-prob, --mode, ...; "
-                   f"--seed defaults to {augment.DEFAULT_SEED})")
-    for key in augment._CONFIG_TYPES:
+    for key in augment._CONFIG_TYPES:  # read by augment.config_from_mapping
         p.add_argument(f"--{key.replace('_', '-')}", dest=key)
     p.set_defaults(func=cmd_augment)
 
@@ -186,27 +180,19 @@ def cmd_extract(args) -> int:
 def cmd_augment(args) -> int:
     _check_outputs([("--features", args.features), ("--labels", args.labels),
                     ("--partner-features", args.partner_features),
-                    ("--partner-labels", args.partner_labels), ("--config", args.config)],
+                    ("--partner-labels", args.partner_labels)],
                    [("--out-features", args.out_features), ("--out-labels", args.out_labels)])
     feats, labs = _read_pair(args.features, args.labels)
-
-    mapping = augment.parse_config_file(args.config) if args.config else {}
-    for key in augment._CONFIG_TYPES:
-        if getattr(args, key) is not None:
-            mapping[key] = getattr(args, key)
-    config, seed = augment.config_from_mapping(mapping)
-
+    config, seed = augment.config_from_mapping(
+        {key: getattr(args, key) for key in augment._CONFIG_TYPES})
     if bool(args.partner_features) != bool(args.partner_labels):
         raise SeldkitError(
-            "--partner-features and --partner-labels must be given together"
-        )
+            "--partner-features and --partner-labels must be given together")
     partner = None
     if args.partner_features:
         partner = _read_pair(args.partner_features, args.partner_labels)
-
-    out_f, out_l = augment.augment_pipeline(
-        (feats, labs), partner, config, augment.make_rng(seed)
-    )
+    out_f, out_l = augment.augment_pipeline((feats, labs), partner, config,
+                                            augment.make_rng(seed))
     write_feature_file(out_f, args.out_features)
     write_feature_file(out_l, args.out_labels)
     print(f"wrote {args.out_features} and {args.out_labels} (seed {seed})")
@@ -224,7 +210,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     _check_outputs([("tensor", args.tensor)], [("--out", args.out)])
-    events = accdoa.decode(read_feature_file(args.tensor), args.threshold)
+    events = _naming(args.tensor, accdoa.decode, read_feature_file(args.tensor),
+                     args.threshold)
     write_label_csv(events, args.out)
     print(f"wrote {args.out} ({len(events)} events at threshold {args.threshold})")
     return 0
@@ -234,8 +221,8 @@ def cmd_score(args) -> int:
     _check_outputs([("pred", args.pred), ("ref", args.ref)], [("--report", args.report)])
     refs = read_label_csv(args.ref)
     if args.sweep:
-        rows = metrics.threshold_sweep(read_feature_file(args.pred), refs,
-                                       average=args.average)
+        rows = _naming(args.pred, metrics.threshold_sweep, read_feature_file(args.pred), refs,
+                       average=args.average)
         print(metrics.format_sweep_table(rows))
         report = metrics.sweep_to_csv(rows)
     else:
@@ -283,8 +270,13 @@ def cmd_ensemble(args) -> int:
     _check_outputs([("tensor", p) for p in args.tensors],
                    [("--out", args.out), ("--csv", args.csv)])
     tensors = [read_feature_file(p) for p in args.tensors]
-    avg = accdoa.ensemble_average(tensors).astype(np.float32)  # as --out holds it
-    events = accdoa.decode(avg, args.threshold) if args.csv else None
+    first = args.tensors[0]  # named when the shape all inputs share is refused
+    for path, tensor in zip(args.tensors, tensors):
+        if tensor.shape != tensors[0].shape:
+            raise ShapeMismatch(f"{path}: shape {tensor.shape} does not match "
+                                f"{tensors[0].shape} of {first}")
+    avg = _naming(first, accdoa.ensemble_average, tensors).astype(np.float32)  # --out's dtype
+    events = _naming(first, accdoa.decode, avg, args.threshold) if args.csv else None
     write_feature_file(avg, args.out)
     print(f"wrote {args.out} (mean of {len(tensors)} tensors)")
     if args.csv:
@@ -325,6 +317,14 @@ def _check_outputs(inputs, outputs) -> None:
                 raise SeldkitError(
                     f"{other_flag} {other_path} and {flag} {path} are the same file")
         taken.append((flag, path, resolved))
+
+
+def _naming(path, call, *args, **kwargs):
+    """call(*args, **kwargs); a ShapeMismatch it raises names path, the input at fault."""
+    try:
+        return call(*args, **kwargs)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{path}: {exc}") from exc
 
 
 def _read_pair(features_path, labels_path) -> tuple:

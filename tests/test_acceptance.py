@@ -6,11 +6,11 @@ closed-form constructions, independent brute-force oracles, and bitwise
 identities; nothing is compared against the implementation itself.
 """
 
+import itertools
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 import helpers
@@ -207,7 +207,6 @@ class TestAcceptance:
             assert fraction < 0.12
             assert abs(fraction - BETA_MASS_MIDDLE) < 0.02
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_6_identity_and_composition_laws(self, capsys):
         with criterion(capsys, 6, "augmentation algebra holds", 20.0):
             no_op = AugmentConfig(cs_prob=0.0, ps_range=0, fs_prob=0.0,
@@ -244,13 +243,13 @@ class TestAcceptance:
                 keep_l[start // 8:(start + length) // 8] = False
                 assert np.array_equal(ml[:, :, keep_l], labs[:, :, keep_l])
 
-            busy = AugmentConfig(cs_prob=1.0, ps_range=3, fs_prob=1.0,
-                                 tm_prob=1.0, mm_prob=1.0, mode="all")
             feats = rng.standard_normal((7, 12, 80)).astype(np.float32)
             labs = encode(helpers.random_events(rng, 10, max_events=6), 10)
             partner_f = rng.standard_normal((7, 12, 80)).astype(np.float32)
             partner_l = encode(helpers.random_events(rng, 10, max_events=6), 10)
-            for seed in range(10):
+            for mode, seed in itertools.product(("fs_mm", "tm_mm"), range(10)):
+                busy = AugmentConfig(cs_prob=1.0, ps_range=3, fs_prob=1.0,
+                                     tm_prob=1.0, mm_prob=1.0, mode=mode)
                 first = augment_pipeline((feats, labs), (partner_f, partner_l),
                                          busy, make_rng(seed))
                 second = augment_pipeline((feats, labs), (partner_f, partner_l),
@@ -283,19 +282,14 @@ class TestAcceptance:
             assert cli.main(["encode", str(ref_csv), "--frames", "19",
                              "--out", str(labels_t)]) == 0
 
-            cfg = tmp_path / "id.cfg"
-            cfg.write_text(
-                "cs_prob = 0\nfs_prob = 0\ntm_prob = 0\n"
-                "mm_prob = 0\nps_range = 0\n",
-                encoding="utf-8",
-            )
             aug_f = tmp_path / "aug.slsa"
             aug_l = tmp_path / "aug_labels.slsa"
             assert cli.main(["augment", "--features", str(feat_file),
                              "--labels", str(labels_t),
                              "--out-features", str(aug_f),
                              "--out-labels", str(aug_l),
-                             "--config", str(cfg)]) == 0
+                             "--cs-prob", "0", "--fs-prob", "0", "--tm-prob", "0",
+                             "--mm-prob", "0", "--ps-range", "0"]) == 0
             assert read_feature_file(aug_f).shape == (7, 200, 152)
 
             avg = tmp_path / "avg.slsa"

@@ -6,6 +6,7 @@ against an independent angle-domain oracle, and a manual replay of the
 generator stream against the pipeline output, bit for bit.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from seldkit import (
     sample_lambda,
     time_mask,
 )
-from seldkit.augment import config_from_mapping, parse_config_file
+from seldkit.augment import config_from_mapping
 from seldkit.errors import (
     FrameOutOfRange,
     Misaligned,
@@ -611,40 +612,6 @@ class TestAugmentConfig:
 
 
 class TestConfigParsing:
-    def test_parse_file(self, tmp_path):
-        path = tmp_path / "aug.cfg"
-        path.write_text(
-            "# knobs\n"
-            "\n"
-            "cs_prob = 0.8\n"
-            "ps_range=3\n"
-            "mode = tm_mm\n"
-            "seed = 99\n"
-        )
-        mapping = parse_config_file(path)
-        assert mapping == {"cs_prob": "0.8", "ps_range": "3",
-                           "mode": "tm_mm", "seed": "99"}
-        config, seed = config_from_mapping(mapping)
-        assert config.cs_prob == 0.8
-        assert config.ps_range == 3
-        assert config.mode == "tm_mm"
-        assert seed == 99
-
-    def test_parse_errors(self, tmp_path):
-        path = tmp_path / "aug.cfg"
-        path.write_text("cs_prob 0.8\n")
-        with pytest.raises(SeldkitError):
-            parse_config_file(path)
-        path.write_text("cs_prob=0.8\ncs_prob=0.9\n")
-        with pytest.raises(SeldkitError):
-            parse_config_file(path)
-
-    def test_undecodable_file_rejected(self, tmp_path):
-        path = tmp_path / "aug.cfg"
-        path.write_bytes(b"\xff\xfecs_prob=0.8\n")
-        with pytest.raises(SeldkitError, match="aug.cfg: not UTF-8"):
-            parse_config_file(path)
-
     def test_unknown_key_rejected(self):
         with pytest.raises(SeldkitError):
             config_from_mapping({"cs_probability": "0.5"})
@@ -705,15 +672,13 @@ class TestAugmentPipeline:
         assert_array_equal(out_l, labs)
         assert out_f.dtype == feats.dtype
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     @pytest.mark.parametrize("on", [
         frozenset(c for i, c in enumerate(("cs", "fs", "tm", "mm")) if bits >> i & 1)
         for bits in range(16)])
     def test_outputs_never_alias_the_inputs(self, on):
         feats, labs = make_sample(31)
         partner = make_sample(32)
-        mode = {frozenset(): "fs_mm", frozenset({"fs"}): "fs_mm",
-                frozenset({"tm"}): "tm_mm"}.get(on & {"fs", "tm"}, "all")
+        mode = "tm_mm" if "tm" in on else "fs_mm"
         config = identity_config(mode=mode, **{f"{c}_prob": 1.0 for c in on})
         inputs = [feats, labs, *partner]
         before = [a.copy() for a in inputs]
@@ -723,15 +688,15 @@ class TestAugmentPipeline:
         for a, b in zip(inputs, before):
             assert_array_equal(a, b)
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_same_seed_reproduces_bitwise(self):
         feats, labs = make_sample(26)
         partner = make_sample(27)
-        config = AugmentConfig(mode="all")
-        a = augment_pipeline((feats, labs), partner, config, make_rng(123))
-        b = augment_pipeline((feats, labs), partner, config, make_rng(123))
-        assert_array_equal(a[0], b[0])
-        assert_array_equal(a[1], b[1])
+        for mode in ("fs_mm", "tm_mm"):
+            config = AugmentConfig(mode=mode)
+            a = augment_pipeline((feats, labs), partner, config, make_rng(123))
+            b = augment_pipeline((feats, labs), partner, config, make_rng(123))
+            assert_array_equal(a[0], b[0])
+            assert_array_equal(a[1], b[1])
 
     def test_distinct_seeds_differ(self):
         feats, labs = make_sample(28)
@@ -744,41 +709,42 @@ class TestAugmentPipeline:
         assert any(not np.array_equal(outputs[0], other)
                    for other in outputs[1:])
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_draw_order_replay(self):
         # the pipeline's generator consumption is a contract: coin for the
-        # channel swap, pattern index if it hits, pitch offset, coin and
-        # offset for the frame shift, coin and two draws for the mask,
-        # coin and beta draw for the mixup
+        # channel swap, pattern index if it hits, pitch offset, then in
+        # fs_mm coin and offset for the frame shift, in tm_mm coin and two
+        # draws for the mask, and last coin and beta draw for the mixup
         feats, labs = make_sample(29)
         partner = make_sample(30)
-        config = AugmentConfig(
-            cs_prob=1.0, ps_range=10, fs_prob=1.0, tm_prob=1.0, mm_prob=1.0,
-            mode="all",
-        )
-        got_f, got_l = augment_pipeline((feats, labs), partner, config,
-                                        make_rng(777))
+        for mode in ("fs_mm", "tm_mm"):
+            config = AugmentConfig(
+                cs_prob=1.0, ps_range=10, fs_prob=1.0, tm_prob=1.0, mm_prob=1.0,
+                mode=mode,
+            )
+            got_f, got_l = augment_pipeline((feats, labs), partner, config,
+                                            make_rng(777))
 
-        rng = make_rng(777)
-        exp_f, exp_l = np.array(feats), np.array(labs)
-        assert rng.random() < 1.0
-        pattern = enumerate_swap_patterns()[int(rng.integers(16))]
-        exp_f, exp_l = channel_swap(exp_f, exp_l, pattern)
-        shift = int(rng.integers(-10, 11))
-        exp_f = pitch_shift(exp_f, shift, 10)
-        assert rng.random() < 1.0
-        offset = 8 * int(rng.integers(0, 20))
-        exp_f, exp_l = frame_shift(exp_f, exp_l, offset)
-        assert rng.random() < 1.0
-        mask_labels = int(rng.integers(1, 3))
-        start = int(rng.integers(0, 20 - mask_labels + 1))
-        exp_f, exp_l = time_mask(exp_f, exp_l, 8 * start, 8 * mask_labels)
-        assert rng.random() < 1.0
-        lam = sample_lambda(rng, 0.2)
-        exp_f, exp_l = moderate_mixup(exp_f, exp_l, partner[0], partner[1], lam)
+            rng = make_rng(777)
+            exp_f, exp_l = np.array(feats), np.array(labs)
+            assert rng.random() < 1.0
+            pattern = enumerate_swap_patterns()[int(rng.integers(16))]
+            exp_f, exp_l = channel_swap(exp_f, exp_l, pattern)
+            shift = int(rng.integers(-10, 11))
+            exp_f = pitch_shift(exp_f, shift, 10)
+            assert rng.random() < 1.0
+            if mode == "fs_mm":
+                offset = 8 * int(rng.integers(0, 20))
+                exp_f, exp_l = frame_shift(exp_f, exp_l, offset)
+            else:
+                mask_labels = int(rng.integers(1, 3))
+                start = int(rng.integers(0, 20 - mask_labels + 1))
+                exp_f, exp_l = time_mask(exp_f, exp_l, 8 * start, 8 * mask_labels)
+            assert rng.random() < 1.0
+            lam = sample_lambda(rng, 0.2)
+            exp_f, exp_l = moderate_mixup(exp_f, exp_l, partner[0], partner[1], lam)
 
-        assert_array_equal(got_f, exp_f)
-        assert_array_equal(got_l, exp_l)
+            assert_array_equal(got_f, exp_f, err_msg=mode)
+            assert_array_equal(got_l, exp_l, err_msg=mode)
 
     def test_no_label_frames_rejected(self):
         feats, labs = np.zeros((7, 200, 0)), np.zeros((3, 13, 0))
@@ -831,11 +797,10 @@ class TestAugmentPipeline:
                                         make_rng(seed))
             assert np.array_equal(out_l, labs) or np.array_equal(out_l, partner[1])
 
-    def test_mode_all_warns(self):
-        feats, labs = make_sample(34)
-        with pytest.warns(RuntimeWarning):
-            augment_pipeline((feats, labs), None,
-                             identity_config(mode="all"), make_rng(0))
+    def test_mode_all_rejected(self):
+        # frame shift and time masking together degraded training
+        with pytest.raises(SeldkitError, match=r"^mode 'all' not one of \('fs_mm', 'tm_mm'\)$"):
+            identity_config(mode="all")
 
     def test_other_modes_do_not_warn(self):
         feats, labs = make_sample(35)
@@ -866,13 +831,11 @@ class TestAugmentPipeline:
         assert counts.min() >= 20
         assert counts.max() <= 90
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_label_norms_stay_exactly_on_or_off(self):
         feats, labs = make_sample(36)
         partner = make_sample(37)
-        config = AugmentConfig(mode="all")
-        for seed in range(30):
-            _, out_l = augment_pipeline((feats, labs), partner, config,
+        for mode, seed in itertools.product(("fs_mm", "tm_mm"), range(30)):
+            _, out_l = augment_pipeline((feats, labs), partner, AugmentConfig(mode=mode),
                                         make_rng(seed))
             norms = np.linalg.norm(out_l, axis=0)
             on = np.abs(norms - 1.0) < 1e-9

@@ -6,6 +6,7 @@ thread test runs the command in child processes. Subcommand plumbing is
 verified against direct library calls on the same inputs.
 """
 
+import itertools
 import os
 import struct
 import subprocess
@@ -25,14 +26,9 @@ from seldkit.dataset_io import (
     write_label_csv,
 )
 
-IDENTITY_CONFIG = """\
-# every knob off
-cs_prob = 0
-fs_prob = 0
-tm_prob = 0
-mm_prob = 0
-ps_range = 0
-"""
+# every augment knob off
+IDENTITY_FLAGS = ["--cs-prob", "0", "--fs-prob", "0", "--tm-prob", "0", "--mm-prob", "0",
+                  "--ps-range", "0"]
 
 
 def nonempty_events(seed, n_frames=20):
@@ -530,13 +526,11 @@ class TestExtractCmd:
 class TestAugmentCmd:
     def test_identity_config_copies_input(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=7)
-        config = tmp_path / "id.cfg"
-        config.write_text(IDENTITY_CONFIG, encoding="utf-8")
         f_out = tmp_path / "out.slsa"
         l_out = tmp_path / "out_labels.slsa"
         rc = cli.main(["augment", "--features", str(f_in),
                        "--labels", str(l_in), "--out-features", str(f_out),
-                       "--out-labels", str(l_out), "--config", str(config)])
+                       "--out-labels", str(l_out), *IDENTITY_FLAGS])
         assert rc == 0
         assert capsys.readouterr().out == \
             f"wrote {f_out} and {l_out} (seed {augment.DEFAULT_SEED})\n"
@@ -551,13 +545,10 @@ class TestAugmentCmd:
         l_in = tmp_path / "a_labels.slsa"
         write_feature_file(feats, f_in)
         write_feature_file(labs, l_in)
-        config = tmp_path / "id.cfg"
-        config.write_text(IDENTITY_CONFIG, encoding="utf-8")
         f_out = tmp_path / "out.slsa"
         rc = cli.main(["augment", "--features", str(f_in),
                        "--labels", str(l_in), "--out-features", str(f_out),
-                       "--out-labels", str(tmp_path / "out_l.slsa"),
-                       "--config", str(config)])
+                       "--out-labels", str(tmp_path / "out_l.slsa"), *IDENTITY_FLAGS])
         assert rc == 0
         capsys.readouterr()
         got = read_feature_file(f_out)
@@ -566,8 +557,6 @@ class TestAugmentCmd:
 
     def test_misaligned_features_rejected(self, tmp_path, capsys):
         labs = accdoa.encode(nonempty_events(9, 20), 20)
-        config = tmp_path / "id.cfg"
-        config.write_text(IDENTITY_CONFIG, encoding="utf-8")
         for n_frames in (152, 170):
             rng = np.random.default_rng(n_frames)
             f_in = tmp_path / f"f{n_frames}.slsa"
@@ -579,8 +568,7 @@ class TestAugmentCmd:
             rc = cli.main(["augment", "--features", str(f_in),
                            "--labels", str(l_in),
                            "--out-features", str(tmp_path / "of.slsa"),
-                           "--out-labels", str(tmp_path / "ol.slsa"),
-                           "--config", str(config)])
+                           "--out-labels", str(tmp_path / "ol.slsa"), *IDENTITY_FLAGS])
             assert rc == 1
             assert capsys.readouterr().err.startswith("error:")
 
@@ -600,56 +588,26 @@ class TestAugmentCmd:
         assert err == "error: no label frames to augment\n"
         assert not (tmp_path / "of.slsa").exists()
 
-    @pytest.mark.filterwarnings("ignore:mode=all:RuntimeWarning")
     def test_seed_makes_runs_repeatable(self, tmp_path, capsys):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=10)
-        config = tmp_path / "busy.cfg"
-        config.write_text(
-            "cs_prob = 1\nps_range = 2\nfs_prob = 1\n"
-            "tm_prob = 1\nmm_prob = 0\nmode = all\n",
-            encoding="utf-8",
-        )
         outs = []
-        for run, seed in enumerate(("123", "123", "124")):
+        for run, (mode, seed) in enumerate(itertools.product(("fs_mm", "tm_mm"),
+                                                             ("123", "123", "124"))):
             f_out = tmp_path / f"f{run}.slsa"
             l_out = tmp_path / f"l{run}.slsa"
             rc = cli.main(["augment", "--features", str(f_in),
                            "--labels", str(l_in),
                            "--out-features", str(f_out),
                            "--out-labels", str(l_out),
-                           "--config", str(config), "--seed", seed])
+                           "--cs-prob", "1", "--ps-range", "2", "--fs-prob", "1",
+                           "--tm-prob", "1", "--mm-prob", "0", "--mode", mode,
+                           "--seed", seed])
             assert rc == 0
             outs.append(f_out.read_bytes() + l_out.read_bytes())
         capsys.readouterr()
-        assert outs[0] == outs[1]
-        assert outs[0] != outs[2]
-
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        f_in, l_in = make_feature_label_pair(tmp_path, seed=11)
-        config = tmp_path / "id.cfg"
-        config.write_text(IDENTITY_CONFIG, encoding="utf-8")
-        f_out = tmp_path / "out.slsa"
-        l_out = tmp_path / "out_l.slsa"
-        rc = cli.main(["augment", "--features", str(f_in),
-                       "--labels", str(l_in), "--out-features", str(f_out),
-                       "--out-labels", str(l_out), "--config", str(config),
-                       "--cs-prob", "1", "--seed", "5"])
-        assert rc == 0
-        capsys.readouterr()
-
-        cfg, seed = augment.config_from_mapping(
-            {"cs_prob": "1", "fs_prob": "0", "tm_prob": "0", "mm_prob": "0",
-             "ps_range": "0", "seed": "5"}
-        )
-        feats = read_feature_file(f_in)
-        labs = read_feature_file(l_in).astype(np.float64)
-        want_f, want_l = augment.augment_pipeline(
-            (feats, labs), None, cfg, augment.make_rng(seed)
-        )
-        assert np.array_equal(read_feature_file(f_out),
-                              np.ascontiguousarray(want_f, dtype=np.float32))
-        assert np.array_equal(read_feature_file(l_out),
-                              np.ascontiguousarray(want_l, dtype=np.float32))
+        for mode_outs in (outs[:3], outs[3:]):
+            assert mode_outs[0] == mode_outs[1]
+            assert mode_outs[0] != mode_outs[2]
 
     def test_mixup_with_partner(self, tmp_path, capsys):
         f_a, l_a = make_feature_label_pair(tmp_path, seed=12, stem="a")
@@ -694,27 +652,29 @@ class TestAugmentCmd:
         assert rc == 1
         assert "together" in capsys.readouterr().err
 
-    def test_mode_all_warns(self, tmp_path, capsys):
-        # the documented warning is one "warning:" line, not Python's
-        # two-line form naming a source line
+    def test_mode_all_exits_one(self, tmp_path, capsys):
+        # frame shift and time masking together degraded training; the
+        # two modes are the paper's two
         f_in, l_in = make_feature_label_pair(tmp_path, seed=15)
-        config = tmp_path / "id.cfg"
-        config.write_text(IDENTITY_CONFIG, encoding="utf-8")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(["augment", "--features", str(f_in),
-                           "--labels", str(l_in),
-                           "--out-features", str(tmp_path / "of.slsa"),
-                           "--out-labels", str(tmp_path / "ol.slsa"),
-                           "--config", str(config), "--mode", "all"])
-        assert rc == 0
-        assert caught == []
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "warning: mode=all applies frame shift and time masking together, "
-            "a combination observed to degrade training\n")
-        assert captured.out == (f"wrote {tmp_path / 'of.slsa'} and "
-                                f"{tmp_path / 'ol.slsa'} (seed 17)\n")
+        rc = cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                       "--out-features", str(tmp_path / "of.slsa"),
+                       "--out-labels", str(tmp_path / "ol.slsa"), *IDENTITY_FLAGS,
+                       "--mode", "all"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: mode 'all' not one of ('fs_mm', 'tm_mm')\n")
+        assert not (tmp_path / "of.slsa").exists()
+
+    def test_config_file_flag_is_gone(self, tmp_path, capsys):
+        # the flags are the only way to set a knob
+        f_in, l_in = make_feature_label_pair(tmp_path, seed=15)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                      "--out-features", str(tmp_path / "of.slsa"),
+                      "--out-labels", str(tmp_path / "ol.slsa"), "--config", "x.cfg"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --config x.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "of.slsa").exists()
 
     def test_partner_of_another_shape_exits_one_whatever_the_seed(self, tmp_path,
                                                                  capsys):
@@ -774,40 +734,15 @@ class TestAugmentCmd:
             assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # a typoed knob is a usage error, not a silent default
         f_in, l_in = make_feature_label_pair(tmp_path, seed=16)
-        config = tmp_path / "bad.cfg"
-        config.write_text("cs_probb = 0\n", encoding="utf-8")
-        rc = cli.main(["augment", "--features", str(f_in),
-                       "--labels", str(l_in),
-                       "--out-features", str(tmp_path / "of.slsa"),
-                       "--out-labels", str(tmp_path / "ol.slsa"),
-                       "--config", str(config)])
-        assert rc == 1
-        assert "cs_probb" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("line", [
-        "cs_prob = abc",
-        "ps_range = 2.5",
-        "seed = 1.5",
-        "ps_range = 100000000000000000000",
-        "mm_beta_alpha = inf",
-    ])
-    def test_bad_config_value_exits_one(self, tmp_path, capsys, line):
-        f_in, l_in = make_feature_label_pair(tmp_path, seed=17)
-        config = tmp_path / "bad.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
-        rc = cli.main(["augment", "--features", str(f_in),
-                       "--labels", str(l_in),
-                       "--out-features", str(tmp_path / "of.slsa"),
-                       "--out-labels", str(tmp_path / "ol.slsa"),
-                       "--config", str(config)])
-        err = capsys.readouterr().err
-        assert rc == 1, err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        key, _, value = line.partition(" = ")
-        assert key in err and value in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["augment", "--features", str(f_in), "--labels", str(l_in),
+                      "--out-features", str(tmp_path / "of.slsa"),
+                      "--out-labels", str(tmp_path / "ol.slsa"), "--cs-probb", "0"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cs-probb" in capsys.readouterr().err
         assert not (tmp_path / "of.slsa").exists()
-
 
     @pytest.mark.parametrize("flag, value", [
         ("--cs-prob", "abc"),
@@ -815,6 +750,8 @@ class TestAugmentCmd:
         ("--seed", "1.5"),
         ("--mode", "fs"),
         ("--tm-ratio-max", "1"),
+        ("--ps-range", "100000000000000000000"),
+        ("--mm-beta-alpha", "inf"),
     ])
     def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag, value):
         f_in, l_in = make_feature_label_pair(tmp_path, seed=18)
@@ -920,6 +857,37 @@ class TestOneClassSet:
         assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
         assert captured.err.count("\n") == 1
         assert not paths["out"].exists() and not paths["csv_out"].exists()
+
+
+class TestShapeErrorsNameTheFile:
+    """A tensor of the wrong shape is reported with its path in front, as
+    the readers report theirs; of two that differ, the one that does not
+    match the first is named."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decode", "{t14}", "--out", "{out}"],
+         "{t14}: expected (3, 13, n_frames), got (3, 14, 5)"),
+        (["score", "{t14}", "{ref}", "--sweep", "--report", "{out}"],
+         "{t14}: expected (3, 13, n_frames), got (3, 14, 5)"),
+        (["ensemble", "{t10}", "{t11}", "--out", "{out}"],
+         "{t11}: shape (3, 13, 11) does not match (3, 13, 10) of {t10}"),
+        (["ensemble", "{t14}", "{t14}", "--out", "{out}", "--csv", "{csv}"],
+         "{t14}: expected (3, 13, n_frames), got (3, 14, 5)"),
+    ], ids=["decode", "score_sweep", "ensemble", "ensemble_csv"])
+    def test_error_line_names_the_tensor(self, tmp_path, capsys, argv, message):
+        paths = {name: tmp_path / f"{name}.slsa" for name in ("t14", "t10", "t11", "out")}
+        paths["ref"], paths["csv"] = tmp_path / "ref.csv", tmp_path / "out.csv"
+        write_label_csv(nonempty_events(42), paths["ref"])
+        write_feature_file(np.zeros((3, 14, 5), dtype=np.float32), paths["t14"])
+        for frames in (10, 11):
+            write_feature_file(accdoa.encode(nonempty_events(43, frames), frames),
+                               paths[f"t{frames}"])
+        rc = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(**paths)}\n"
+        assert not paths["out"].exists() and not paths["csv"].exists()
 
 
 class TestNumericFlags:
@@ -1150,10 +1118,6 @@ class TestNoOutputOverAnInput:
                              "--partner-labels", "{d}/u.slsa", "--out-features",
                              "{d}/sub/../t.slsa", "--out-labels", "{d}/new.slsa"],
                             ("--partner-features", "--out-features")),
-        "augment_config": (["augment", "--features", "{d}/a.slsa", "--labels",
-                            "{d}/a_labels.slsa", "--config", "{d}/id.cfg",
-                            "--out-features", "{d}/new.slsa", "--out-labels", "{d}/id.cfg"],
-                           ("--config", "--out-labels")),
         "stats": (["stats", "{d}/a.slsa", "{d}/t.slsa", "--out", "{d}/t.slsa"],
                   ("features", "--out")),
     }
@@ -1166,7 +1130,6 @@ class TestNoOutputOverAnInput:
         write_label_csv(nonempty_events(19), d / "ref.csv")
         write_feature_file(accdoa.encode(nonempty_events(20), 20), d / "t.slsa")
         write_feature_file(accdoa.encode(nonempty_events(21), 20), d / "u.slsa")
-        (d / "id.cfg").write_text(IDENTITY_CONFIG, encoding="utf-8")
         before = {p: p.read_bytes() for p in d.iterdir() if p.is_file()}
         argv, (flag_in, flag_out) = self.CASES[case]
         rc = cli.main([arg.format(d=d) for arg in argv])
@@ -1223,9 +1186,9 @@ def contract_argv(command, bad, tmp_path):
     """argv that makes `command` read the file `bad` as its input."""
     out = str(tmp_path / "out")
     if command == "augment":
-        f_in, l_in = make_feature_label_pair(tmp_path, seed=30)
-        return ["augment", "--features", str(f_in), "--labels", str(l_in),
-                "--config", bad, "--out-features", out, "--out-labels", out + "2"]
+        _, l_in = make_feature_label_pair(tmp_path, seed=30)
+        return ["augment", "--features", bad, "--labels", str(l_in),
+                "--out-features", out, "--out-labels", out + "2"]
     ref = tmp_path / "ref.csv"
     write_label_csv(nonempty_events(31), ref)
     return {

@@ -1,13 +1,13 @@
-"""`seldkit extract` and `seldkit augment` report any manifest or config
-bytes they cannot use as input errors.
+"""`seldkit extract` and `seldkit augment` report any manifest bytes or
+flag values they cannot use as input errors.
 
-A valid manifest (one readable clip, one missing, one directory) and a
-valid augment config get bytes overwritten (NUL, quotes, separators, line
-ends, bytes that are not UTF-8, any others), inserted and cut off. Each run
-of cli.main must exit 0, or 1 with "error:" lines on stderr; exit 2 would be
-an internal error. Besides those, stderr may hold only the documented
-mode=all "warning:" line, and no Python warning may escape. A run that exits
-1 from augment writes nothing.
+A valid manifest (one readable clip, one missing, one directory) gets bytes
+overwritten (NUL, quotes, separators, line ends, bytes that are not UTF-8,
+any others), inserted and cut off; each of augment's knob flags gets its
+valid value kept, dropped or edited the same way in characters. Each run of
+cli.main must exit 0, or 1 with "error:" lines on stderr and nothing else;
+exit 2 would be an internal error. No Python warning may escape. A run that
+exits 1 from augment writes nothing.
 """
 
 import contextlib
@@ -32,34 +32,34 @@ EDIT = st.tuples(st.integers(0, 200), st.booleans(),
 # {d} stands for the directory of the scene's files
 MANIFEST = (b"audio_path,label_path,split\n{d}/clip.wav,{d}/clip.csv,train\n"
             b"{d}/gone.wav,,val\n{d}/folder.wav,x.csv,test\n")
-CONFIG = (b"# knobs\ncs_prob = 0.5\nps_range = 3\nfs_prob = 1\ntm_prob = 0.5\n"
-          b"tm_ratio_min = 0.05\ntm_ratio_max = 0.5\nmm_prob = 0.5\n"
-          b"mm_beta_alpha = 0.2\nmode = all\nseed = 5\n")
+TEXT_EDIT = st.tuples(st.integers(0, 12), st.booleans(),
+                     st.one_of(st.sampled_from(["\0", "-", "+", ".", "e", "_", " ", "=",
+                                                "inf", "nan", "9" * 20, "\u0663", "\xa0"]),
+                               st.text(min_size=1, max_size=3)))
+# a valid value for each of augment's knob flags
+FLAGS = {"--cs-prob": "0.5", "--ps-range": "3", "--fs-prob": "1", "--tm-prob": "0.5",
+         "--tm-ratio-min": "0.05", "--tm-ratio-max": "0.5", "--mm-prob": "0.5",
+         "--mm-beta-alpha": "0.2", "--mode": "tm_mm", "--seed": "5"}
 
 
 def edited(blob, edits, cut):
-    """blob with each (offset, insert, patch) inserted at its offset or
-    written over the bytes there, then cut at cut (None keeps it whole)."""
-    blob = bytearray(blob)
+    """blob (bytes or str) with each (offset, insert, patch) inserted at its
+    offset or written over what is there, then cut at cut (None keeps it
+    whole)."""
     for offset, insert, patch in edits:
         offset = min(offset, len(blob))
-        blob[offset:offset if insert else offset + len(patch)] = patch
-    return bytes(blob[:cut])
+        blob = blob[:offset] + patch + blob[offset if insert else offset + len(patch):]
+    return blob[:cut]
 
 
-def mutations(base):
-    return st.builds(edited, st.just(base), st.lists(EDIT, max_size=4),
+def mutations(base, edit=EDIT):
+    return st.builds(edited, st.just(base), st.lists(edit, max_size=4),
                      st.one_of(st.none(), st.integers(0, len(base))))
 
 
-MODE_ALL_WARNING = ("warning: mode=all applies frame shift and time masking together, "
-                    "a combination observed to degrade training")
-
-
 def run(argv):
-    """cli.main's exit code, after checking it is 0, or 1 with error lines on
-    stderr, that any other stderr line is the mode=all warning, and that no
-    Python warning escaped."""
+    """cli.main's exit code, after checking it is 0, or 1 with error lines
+    only on stderr, and that no Python warning escaped."""
     err = io.StringIO()
     with (warnings.catch_warnings(record=True) as caught,
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
@@ -69,8 +69,7 @@ def run(argv):
     errors = [line for line in lines if line.startswith("error: ")]
     assert rc in (0, 1), lines
     assert caught == [], [str(w.message) for w in caught]
-    assert all(line in errors or line == MODE_ALL_WARNING for line in lines), lines
-    assert lines.count(MODE_ALL_WARNING) <= 1, lines
+    assert lines == errors, lines
     assert bool(errors) == (rc == 1), lines
     return rc
 
@@ -114,23 +113,32 @@ def test_nul_in_an_audio_path_names_the_line(scene, capsys):
 
 
 @settings(max_examples=100, deadline=None)
-@given(mutations(CONFIG))
-@example(CONFIG.replace(b"mode = all", b"mode = a\0ll"))
-@example(CONFIG.replace(b"ps_range = 3", b"ps_range = 1e-300"))
-@example(CONFIG.replace(b"ps_range = 3", b"ps_range = 9223372036854775807"))
-@example(CONFIG.replace(b"mm_beta_alpha = 0.2", b"mm_beta_alpha = 1e-300"))
-@example(CONFIG.replace(b"tm_ratio_max = 0.5", b"tm_ratio_max = 0.99999"))
-@example(CONFIG)
-def test_any_augment_config_bytes_exit_zero_or_one(scene, blob):
-    config = scene / "augment.cfg"
-    config.write_bytes(blob)
+@given(st.lists(st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.one_of(st.none(),
+                                                    mutations(FLAGS[flag], TEXT_EDIT)))),
+    max_size=3))
+@example([("--mode", "a\0ll")])
+@example([("--ps-range", "1e-300")])
+@example([("--ps-range", "9223372036854775807")])
+@example([("--mm-beta-alpha", "1e-300")])
+@example([("--tm-ratio-max", "0.99999")])
+@example([("--mode", "all")])
+@example([("--mode", "fs_mm")])
+@example([])
+def test_any_augment_flag_values_exit_zero_or_one(scene, edits):
+    """edits: (flag, value) pairs that replace FLAGS' values; None drops the flag."""
+    values = {**FLAGS, **dict(edits)}
     out_f, out_l = scene / "out.slsa", scene / "out_labels.slsa"
     for path in (out_f, out_l):
         path.unlink(missing_ok=True)
+    # flag=value, so that a value starting with "-" is not read as a flag
     rc = run(["augment", "--features", scene / "a.slsa", "--labels",
               scene / "a_labels.slsa", "--partner-features", scene / "b.slsa",
               "--partner-labels", scene / "b_labels.slsa", "--out-features", out_f,
-              "--out-labels", out_l, "--config", config])
+              "--out-labels", out_l,
+              *(f"{flag}={value}" for flag, value in values.items() if value is not None)])
     assert out_f.exists() == out_l.exists() == (rc == 0)
-    if blob == CONFIG:
+    if values["--mode"] == "all":
+        assert rc == 1
+    elif values in (FLAGS, {**FLAGS, "--mode": "fs_mm"}):
         assert rc == 0

@@ -7,7 +7,8 @@ For each seed given, the inputs are made with perfbench/gen.py's makers (at
   loading it;
 - `stats`, `encode`, `decode` at each sweep threshold and `ensemble --csv`;
 - `score` macro and micro with `--report`, and `score --sweep`;
-- `augment` in each mode with a mixup partner;
+- `augment` in each mode with a mixup partner, and once with every knob
+  set by flag;
 - `gradcheck`.
 
 It prints one JSON object: for each command (keyed by seed and command
@@ -47,7 +48,11 @@ from seldkit import cli  # noqa: E402
 
 EXPECTED_CHANGES = Path(__file__).resolve().parent / "expected_digest_changes.txt"
 THRESHOLDS = ("0.3", "0.5", "0.7")
-AUGMENT_MODES = ("fs_mm", "tm_mm", "all")
+AUGMENT_MODES = ("fs_mm", "tm_mm")
+# every augment knob but the seed, each at a value other than its default
+AUGMENT_KNOBS = ("--mode", "tm_mm", "--cs-prob", "1", "--ps-range", "3", "--fs-prob", "0.25",
+                "--tm-prob", "1", "--tm-ratio-min", "0.1", "--tm-ratio-max", "0.5",
+                "--mm-prob", "1", "--mm-beta-alpha", "0.4")
 
 
 def make_inputs(seed: int, size: str) -> dict:
@@ -105,11 +110,13 @@ def run_commands(seed: int, size: str, truth: dict) -> dict:
         run(["score", f"{out}/avg.slsa", f"{src}/ref.csv", "--sweep"])
 
     (feats, labels), (partner_feats, partner_labels) = truth["train_feed"]["chunks"][:2]
-    for mode in AUGMENT_MODES:
-        written = [f"out/aug_{mode}.slsa", f"out/aug_{mode}_labels.slsa"]
+    augment_runs = {mode: ("--mode", mode, "--mm-prob", "1") for mode in AUGMENT_MODES}
+    augment_runs["knobs"] = AUGMENT_KNOBS
+    for name, knobs in augment_runs.items():
+        written = [f"out/aug_{name}.slsa", f"out/aug_{name}_labels.slsa"]
         run(["augment", "--features", feats, "--labels", labels,
              "--partner-features", partner_feats, "--partner-labels", partner_labels,
-             "--mode", mode, "--mm-prob", "1", "--seed", str(seed),
+             *knobs, "--seed", str(seed),
              "--out-features", written[0], "--out-labels", written[1]], written)
 
     run(["gradcheck"])
